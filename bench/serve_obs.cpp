@@ -6,9 +6,10 @@
 // sample Chrome trace artifact.
 //
 // Three hard invariants, enforced with a non-zero exit:
-//   * near-zero disabled cost — a null-sink recorder adds < 2% wall clock
-//     over no recorder at all (min-of-N runs on both sides; the hooks must
-//     stay one pointer check);
+//   * near-zero disabled cost — a null-sink recorder's wall clock stays
+//     within baseline x 1.02 + 20 ms of no recorder at all (min-of-N runs on
+//     both sides; the hooks must stay one pointer check). The bound is
+//     printed and written as disabled.bound_s;
 //   * tracing changes nothing — full-span tracing yields fingerprint-
 //     identical completion records to the untraced baseline;
 //   * byte-determinism — the exported Chrome trace is byte-identical
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
   json.set("config.rate_rps", rate);
   json.set("config.repeats", static_cast<std::uint64_t>(repeats));
 
-  // ---- Gate (a): a null-sink recorder must cost < 2%. ----------------------
+  // ---- Gate (a): a null-sink recorder stays within 2% + 20 ms. -------------
   const RunResult baseline = best_of(repeats, devices, nullptr, warm_path, trace_path);
   obs::RecorderOptions off;
   off.request_spans = false;
@@ -263,13 +264,17 @@ int main(int argc, char** argv) {
   off.exec_windows = false;
   const RunResult disabled = best_of(repeats, devices, &off, warm_path, trace_path);
   // 20 ms absolute grace keeps the 2% relative gate meaningful when the
-  // scenario itself runs in tens of milliseconds on a fast box.
+  // scenario itself runs in tens of milliseconds on a fast box; on short
+  // scenarios the grace dominates, so the enforced bound is reported as-is.
   const double overhead = disabled.wall_s / baseline.wall_s - 1.0;
-  const bool cheap_when_off =
-      disabled.wall_s <= baseline.wall_s * 1.02 + 0.020;
+  const double bound_s = baseline.wall_s * 1.02 + 0.020;
+  const double bound_frac = bound_s / baseline.wall_s - 1.0;
+  const bool cheap_when_off = disabled.wall_s <= bound_s;
   json.set("baseline.wall_s", baseline.wall_s);
   json.set("disabled.wall_s", disabled.wall_s);
   json.set("disabled.overhead_frac", overhead);
+  json.set("disabled.bound_s", bound_s);
+  json.set("disabled.bound_frac", bound_frac);
   table.add_row({"no recorder", util::Table::fixed(baseline.wall_s, 3),
                  util::Table::fixed(static_cast<double>(baseline.completed) / baseline.wall_s, 0),
                  "1.000"});
@@ -339,7 +344,7 @@ int main(int argc, char** argv) {
   json.set("fault.retries", retries);
   json.set("fault.span_events", static_cast<std::uint64_t>(faulted->span_events().size()));
 
-  json.set("gates.disabled_overhead_lt_2pct",
+  json.set("gates.disabled_within_bound",
            static_cast<std::uint64_t>(cheap_when_off ? 1 : 0));
   json.set("gates.records_identical", static_cast<std::uint64_t>(same_records ? 1 : 0));
   json.set("gates.trace_bytes_identical",
@@ -349,7 +354,10 @@ int main(int argc, char** argv) {
 
   std::cout << table.to_string();
   std::cout << "\nnull-sink overhead: " << util::Table::fixed(overhead * 100.0, 2)
-            << "% (gate < 2%)\ntrace artifact: " << artifact_path << " ("
+            << "% (gate: disabled <= baseline x 1.02 + 20 ms = "
+            << util::Table::fixed(bound_s, 3) << " s, i.e. overhead <= "
+            << util::Table::fixed(bound_frac * 100.0, 2) << "%)\ntrace artifact: "
+            << artifact_path << " ("
             << faulted->span_events().size() << " span events, "
             << faulted->device_spans().size() << " device spans)\n";
   if (!json_path.empty()) {
@@ -368,7 +376,8 @@ int main(int argc, char** argv) {
   if (!cheap_when_off) {
     std::cerr << "REGRESSION: null-sink recorder costs " << overhead * 100.0
               << "% (" << disabled.wall_s << " s vs " << baseline.wall_s
-              << " s baseline); the disabled hooks must stay one pointer check\n";
+              << " s baseline, bound " << bound_s
+              << " s); the disabled hooks must stay one pointer check\n";
     ok = false;
   }
   if (!same_records) {

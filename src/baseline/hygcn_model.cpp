@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/builder.hpp"
 #include "shard/shard_grid.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -75,42 +74,29 @@ AggPass aggregation_pass(const graph::Graph& agg_graph, std::size_t dims,
   return pass;
 }
 
-}  // namespace
-
-HygcnModel::HygcnModel(HygcnConfig config) : config_(std::move(config)) {
-  GNNERATOR_CHECK(config_.simd_cores >= 1 && config_.simd_lanes >= 1);
-  GNNERATOR_CHECK(config_.dram_bytes_per_cycle > 0);
-}
-
-HygcnLayerCycles HygcnModel::layer_cycles(const graph::Graph& graph,
-                                          const gnn::LayerSpec& layer) const {
-  graph::GraphBuilder builder(graph.num_nodes());
-  for (const graph::Edge& e : graph.edges()) {
-    builder.add_edge(e.src, e.dst);
-  }
-  builder.add_self_loops();
-  const graph::Graph agg_graph = builder.build();
-
-  const std::uint64_t v = graph.num_nodes();
+/// Cycles of one layer over the self-loop-augmented graph.
+HygcnLayerCycles agg_layer_cycles(const graph::Graph& agg_graph, const gnn::LayerSpec& layer,
+                                  const HygcnConfig& cfg) {
+  const std::uint64_t v = agg_graph.num_nodes();
   HygcnLayerCycles out;
 
   switch (layer.kind) {
     case gnn::LayerKind::kGcn: {
-      const AggPass agg = aggregation_pass(agg_graph, layer.in_dim, config_);
+      const AggPass agg = aggregation_pass(agg_graph, layer.in_dim, cfg);
       out.aggregation_dma = agg.dma_cycles;
       out.aggregation_compute = agg.compute_cycles;
-      out.combination = dense::gemm_cycles(config_.array,
+      out.combination = dense::gemm_cycles(cfg.array,
                                            dense::GemmShape{v, layer.in_dim, layer.out_dim});
       // Aggregation produces, combination consumes: pipelined overlap.
       out.total = std::max({agg.dma_cycles, agg.compute_cycles, out.combination});
       break;
     }
     case gnn::LayerKind::kSageMean: {
-      const AggPass agg = aggregation_pass(agg_graph, layer.in_dim, config_);
+      const AggPass agg = aggregation_pass(agg_graph, layer.in_dim, cfg);
       out.aggregation_dma = agg.dma_cycles;
       out.aggregation_compute = agg.compute_cycles;
       out.combination = dense::gemm_cycles(
-          config_.array, dense::GemmShape{v, 2 * layer.in_dim, layer.out_dim});
+          cfg.array, dense::GemmShape{v, 2 * layer.in_dim, layer.out_dim});
       out.total = std::max({agg.dma_cycles, agg.compute_cycles, out.combination});
       break;
     }
@@ -120,10 +106,10 @@ HygcnLayerCycles HygcnModel::layer_cycles(const graph::Graph& graph,
       // aggregation, then the update GEMM, serialised.
       // The pool transform matches GNNerator's lowering (D_in -> D_out).
       const std::uint64_t pool = dense::gemm_cycles(
-          config_.array, dense::GemmShape{v, layer.in_dim, layer.out_dim});
-      const AggPass agg = aggregation_pass(agg_graph, layer.out_dim, config_);
+          cfg.array, dense::GemmShape{v, layer.in_dim, layer.out_dim});
+      const AggPass agg = aggregation_pass(agg_graph, layer.out_dim, cfg);
       const std::uint64_t update = dense::gemm_cycles(
-          config_.array,
+          cfg.array,
           dense::GemmShape{v, layer.out_dim + layer.in_dim, layer.out_dim});
       out.aggregation_dma = agg.dma_cycles;
       out.aggregation_compute = agg.compute_cycles;
@@ -131,7 +117,7 @@ HygcnLayerCycles HygcnModel::layer_cycles(const graph::Graph& graph,
       // Pool GEMM input streams h from DRAM: bandwidth-bound floor.
       const std::uint64_t pool_dma = static_cast<std::uint64_t>(
           static_cast<double>(v * layer.in_dim * sizeof(float)) /
-          config_.dram_bytes_per_cycle);
+          cfg.dram_bytes_per_cycle);
       out.total = std::max(pool, pool_dma) + std::max(agg.dma_cycles, agg.compute_cycles) +
                   std::max(update, pool_dma);
       break;
@@ -140,11 +126,24 @@ HygcnLayerCycles HygcnModel::layer_cycles(const graph::Graph& graph,
   return out;
 }
 
+}  // namespace
+
+HygcnModel::HygcnModel(HygcnConfig config) : config_(std::move(config)) {
+  GNNERATOR_CHECK(config_.simd_cores >= 1 && config_.simd_lanes >= 1);
+  GNNERATOR_CHECK(config_.dram_bytes_per_cycle > 0);
+}
+
+HygcnLayerCycles HygcnModel::layer_cycles(const graph::Graph& graph,
+                                          const gnn::LayerSpec& layer) const {
+  return agg_layer_cycles(graph::with_self_loops(graph), layer, config_);
+}
+
 std::uint64_t HygcnModel::simulate_cycles(const graph::Graph& graph,
                                           const gnn::ModelSpec& model) const {
+  const graph::Graph agg_graph = graph::with_self_loops(graph);
   std::uint64_t total = 0;
   for (const gnn::LayerSpec& layer : model.layers) {
-    total += layer_cycles(graph, layer).total;
+    total += agg_layer_cycles(agg_graph, layer, config_).total;
   }
   return total;
 }

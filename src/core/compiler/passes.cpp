@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "graph/builder.hpp"
 #include "shard/cost_model.hpp"
 #include "shard/sizing.hpp"
 #include "util/check.hpp"
@@ -65,12 +64,7 @@ void build_stage_graph_pass(StageGraph& ir) {
   if (!ir.analysis_only) {
     // Aggregation graph: dataset graph + self loops (Eq. 1/2 aggregate over
     // N(u) ∪ u). Edge coefficients use the original degrees.
-    graph::GraphBuilder builder(g.num_nodes());
-    for (const graph::Edge& e : g.edges()) {
-      builder.add_edge(e.src, e.dst);
-    }
-    builder.add_self_loops();
-    ir.agg_graph = std::make_shared<const graph::Graph>(builder.build());
+    ir.agg_graph = std::make_shared<const graph::Graph>(graph::with_self_loops(g));
     ir.agg_edge_count = ir.agg_graph->num_edges();
     ir.base_in_degree.resize(g.num_nodes());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -137,6 +131,8 @@ void feature_blocking_pass(StageGraph& ir) {
 
 void shard_sizing_pass(StageGraph& ir) {
   const graph::NodeId num_nodes = ir.dataset_graph->num_nodes();
+  // Stages that resolve to the same shard size share one grid.
+  std::vector<std::shared_ptr<const shard::ShardGrid>> grids;
   for (StageNode& node : ir.nodes) {
     if (!node.is_aggregate()) {
       continue;
@@ -145,9 +141,18 @@ void shard_sizing_pass(StageGraph& ir) {
     policy.edge_buffer_bytes = 0;  // edge buffer is provisioned separately
     node.agg.sizing = shard::choose_shard_size(ir.config.graph.feature_scratch_bytes,
                                                node.agg.block, num_nodes, policy);
-    if (!ir.analysis_only) {
-      node.agg.grid = std::make_shared<const shard::ShardGrid>(*ir.agg_graph,
-                                                               node.agg.sizing.nodes_per_shard);
+    if (ir.analysis_only) {
+      continue;
+    }
+    const graph::NodeId n = node.agg.sizing.nodes_per_shard;
+    const auto same_size = std::find_if(grids.begin(), grids.end(), [n](const auto& grid) {
+      return grid->nodes_per_shard() == n;
+    });
+    if (same_size != grids.end()) {
+      node.agg.grid = *same_size;
+    } else {
+      node.agg.grid =
+          grids.emplace_back(std::make_shared<const shard::ShardGrid>(*ir.agg_graph, n));
     }
   }
   ir.mark(kShardsSized);

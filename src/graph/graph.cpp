@@ -104,4 +104,26 @@ std::size_t Graph::num_self_loops() const {
   return count;
 }
 
+Graph with_self_loops(const Graph& graph) {
+  const NodeId num_nodes = graph.num_nodes();
+  const std::span<const Edge> edges = graph.edges();
+  std::vector<Edge> merged;
+  merged.reserve(edges.size() + num_nodes - graph.num_self_loops());
+  std::size_t i = 0;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    // Edges of source v are contiguous and dst-ascending: (v, v) goes after
+    // every (v, d < v) unless it is already there.
+    while (i < edges.size() && edges[i].src == v && edges[i].dst < v) {
+      merged.push_back(edges[i++]);
+    }
+    if (i == edges.size() || edges[i] != Edge{v, v}) {
+      merged.push_back(Edge{v, v});
+    }
+    while (i < edges.size() && edges[i].src == v) {
+      merged.push_back(edges[i++]);
+    }
+  }
+  return Graph(num_nodes, std::move(merged));
+}
+
 }  // namespace gnnerator::graph

@@ -73,4 +73,10 @@ class Graph {
   std::vector<std::uint32_t> coeff_in_degrees_;  // empty = no override
 };
 
+/// `graph` plus a self loop (v, v) on every node that lacks one: the
+/// aggregation set N(u) ∪ u of GCN-style layers, materialised as edges.
+/// Linear time: the loops are merged into the already-sorted edge list.
+/// The result carries no coefficient-degree override.
+[[nodiscard]] Graph with_self_loops(const Graph& graph);
+
 }  // namespace gnnerator::graph

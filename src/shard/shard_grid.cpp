@@ -14,60 +14,65 @@ ShardGrid::ShardGrid(const graph::Graph& graph, NodeId nodes_per_shard)
   GNNERATOR_CHECK(dim_ > 0);
 
   const std::size_t num_shards = static_cast<std::size_t>(dim_) * dim_;
-  auto shard_of = [&](const Edge& e) -> std::size_t {
-    const std::size_t row = e.src / nodes_per_shard_;
-    const std::size_t col = e.dst / nodes_per_shard_;
-    return row * dim_ + col;
+  const auto shard_of = [&](NodeId src, NodeId dst) -> std::size_t {
+    return static_cast<std::size_t>(src / nodes_per_shard_) * dim_ + dst / nodes_per_shard_;
   };
 
-  // Counting sort of edges into shard buckets.
+  // Pass 1, CSR order (src ascending): edge count and distinct-source count
+  // per shard. Sources arrive ascending, so a source is new to a shard iff it
+  // differs from the last one that shard saw.
+  const NodeId no_source = num_nodes_;
+  std::vector<NodeId> last_source(num_shards, no_source);
   offsets_.assign(num_shards + 1, 0);
+  source_offsets_.assign(num_shards + 1, 0);
   for (const Edge& e : graph.edges()) {
-    ++offsets_[shard_of(e) + 1];
+    const std::size_t s = shard_of(e.src, e.dst);
+    ++offsets_[s + 1];
+    if (last_source[s] != e.src) {
+      last_source[s] = e.src;
+      ++source_offsets_[s + 1];
+    }
   }
   for (std::size_t s = 0; s < num_shards; ++s) {
     offsets_[s + 1] += offsets_[s];
+    source_offsets_[s + 1] += source_offsets_[s];
   }
+
+  // Pass 2, CSR order: scatter the distinct sources; each shard's list comes
+  // out ascending.
+  sources_.resize(source_offsets_[num_shards]);
+  {
+    std::vector<std::size_t> cursor(source_offsets_.begin(), source_offsets_.end() - 1);
+    std::fill(last_source.begin(), last_source.end(), no_source);
+    for (const Edge& e : graph.edges()) {
+      const std::size_t s = shard_of(e.src, e.dst);
+      if (last_source[s] != e.src) {
+        last_source[s] = e.src;
+        sources_[cursor[s]++] = e.src;
+      }
+    }
+  }
+
+  // Pass 3, CSC order (dst ascending, then src ascending): scatter edges, so
+  // every shard bucket comes out destination-major with no sort.
   edges_.resize(graph.num_edges());
   {
     std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (const Edge& e : graph.edges()) {
-      edges_[cursor[shard_of(e)]++] = e;
+    for (NodeId dst = 0; dst < num_nodes_; ++dst) {
+      for (const NodeId src : graph.in_neighbors(dst)) {
+        edges_[cursor[shard_of(src, dst)]++] = Edge{src, dst};
+      }
     }
   }
-  // Destination-major order inside each shard.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    std::sort(edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s]),
-              edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s + 1]),
-              [](const Edge& a, const Edge& b) {
-                return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-              });
-  }
 
-  // Distinct active sources / destinations per shard.
-  source_offsets_.assign(num_shards + 1, 0);
+  // Distinct destinations: runs of equal dst in each dst-major bucket.
   dest_offsets_.assign(num_shards + 1, 0);
-  std::vector<NodeId> scratch;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const auto begin = edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s]);
-    const auto end = edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[s + 1]);
-
-    scratch.clear();
-    for (auto it = begin; it != end; ++it) {
-      scratch.push_back(it->src);
+    for (std::size_t i = offsets_[s]; i < offsets_[s + 1]; ++i) {
+      if (i == offsets_[s] || edges_[i].dst != edges_[i - 1].dst) {
+        dests_.push_back(edges_[i].dst);
+      }
     }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    sources_.insert(sources_.end(), scratch.begin(), scratch.end());
-    source_offsets_[s + 1] = sources_.size();
-
-    scratch.clear();
-    for (auto it = begin; it != end; ++it) {
-      scratch.push_back(it->dst);
-    }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    dests_.insert(dests_.end(), scratch.begin(), scratch.end());
     dest_offsets_[s + 1] = dests_.size();
   }
 }

@@ -29,6 +29,14 @@ struct ShardCoord {
 /// Within a shard, edges are sorted destination-major (dst, then src): the
 /// Shard Compute Unit partitions a shard's edges across GPEs by destination
 /// range so two GPEs never accumulate into the same node.
+///
+/// Construction is O(E + V + S^2) and sorts nothing. It relies on the order
+/// `graph::Graph` guarantees: edges() is (src, dst)-sorted and
+/// in_neighbors(v) is ascending. Scattering edges in that CSC order
+/// (dst, then src) leaves every shard bucket destination-major, and
+/// (src, dst)-order passes yield each shard's distinct sources ascending.
+/// A grid is immutable; the compiler shares one per shard size within a
+/// plan.
 class ShardGrid {
  public:
   ShardGrid(const graph::Graph& graph, NodeId nodes_per_shard);

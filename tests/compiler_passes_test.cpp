@@ -199,6 +199,35 @@ TEST(CompilerPasses, DefaultPlansSimulateToGoldenCycles) {
   }
 }
 
+/// Aggregation stages of one plan that resolve to the same shard size share
+/// one ShardGrid; stages with different sizes get their own.
+TEST(CompilerPasses, StagesShareGridPerShardSize) {
+  const AcceleratorConfig config = AcceleratorConfig::table4();
+  {
+    const graph::Dataset cora = graph::make_dataset_by_name("cora", 1, /*with_features=*/false);
+    const LoweredModel plan = compile_model(
+        cora.graph, table3_model(gnn::LayerKind::kGcn, cora.spec), config, DataflowOptions{});
+    ASSERT_EQ(plan.agg_stages.size(), 2u);
+    EXPECT_EQ(plan.agg_stages[0].sizing.nodes_per_shard,
+              plan.agg_stages[1].sizing.nodes_per_shard);
+    EXPECT_EQ(plan.agg_stages[0].grid, plan.agg_stages[1].grid);
+  }
+  {
+    const graph::Dataset citeseer =
+        graph::make_dataset_by_name("citeseer", 1, /*with_features=*/false);
+    DataflowOptions unblocked;
+    unblocked.feature_blocking = false;
+    const LoweredModel plan = compile_model(
+        citeseer.graph, table3_model(gnn::LayerKind::kGcn, citeseer.spec), config, unblocked);
+    ASSERT_EQ(plan.agg_stages.size(), 2u);
+    EXPECT_EQ(plan.agg_stages[0].sizing.nodes_per_shard, 407u);
+    EXPECT_EQ(plan.agg_stages[1].sizing.nodes_per_shard, 3327u);
+    EXPECT_NE(plan.agg_stages[0].grid, plan.agg_stages[1].grid);
+    EXPECT_EQ(plan.agg_stages[0].grid->nodes_per_shard(), 407u);
+    EXPECT_EQ(plan.agg_stages[1].grid->nodes_per_shard(), 3327u);
+  }
+}
+
 /// Infeasible configurations fail with the offending pass named.
 TEST(CompilerPasses, InfeasibleConfigNamesTheFailingPass) {
   const auto g = test_graph();

@@ -2,6 +2,7 @@
 // generators, the Table II dataset registry and text I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -10,6 +11,7 @@
 #include "graph/generate.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/io.hpp"
+#include "graph/sample.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -83,6 +85,59 @@ TEST(Builder, SelfLoopManagement) {
   g = b.build();
   EXPECT_EQ(g.num_self_loops(), 0u);
   EXPECT_EQ(g.num_edges(), 1u);
+}
+
+/// The reference for graph::with_self_loops: copy every edge into a
+/// GraphBuilder, add the loops, canonicalise.
+Graph builder_with_self_loops(const Graph& g) {
+  GraphBuilder b(g.num_nodes());
+  for (const Edge& e : g.edges()) {
+    b.add_edge(e.src, e.dst);
+  }
+  b.add_self_loops();
+  return b.build();
+}
+
+void expect_same_edges(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  EXPECT_TRUE(std::equal(got.edges().begin(), got.edges().end(), want.edges().begin()));
+}
+
+TEST(WithSelfLoops, MatchesBuilderPathOnPartialSelfLoops) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    util::Prng prng(seed);
+    GraphBuilder b(61);
+    for (int i = 0; i < 400; ++i) {
+      b.add_edge(static_cast<NodeId>(prng.uniform_u64(61)),
+                 static_cast<NodeId>(prng.uniform_u64(61)));
+    }
+    for (NodeId v = 0; v < 61; v += 4) {
+      b.add_edge(v, v);  // some nodes already carry their loop
+    }
+    const Graph g = b.build();
+    ASSERT_GT(g.num_self_loops(), 0u);
+    ASSERT_LT(g.num_self_loops(), 61u);
+    const Graph merged = with_self_loops(g);
+    expect_same_edges(merged, builder_with_self_loops(g));
+    EXPECT_EQ(merged.num_self_loops(), 61u);
+    // Idempotent once every loop is present.
+    expect_same_edges(with_self_loops(merged), merged);
+  }
+  // Edgeless graph: loops only.
+  const Graph empty(5, {});
+  expect_same_edges(with_self_loops(empty), builder_with_self_loops(empty));
+}
+
+TEST(WithSelfLoops, MatchesBuilderPathOnSampledSubgraph) {
+  const Dataset ds = make_dataset_by_name("cora", 1, /*with_features=*/false);
+  util::Prng prng(17);
+  const SampledSubgraph sub = sample_frontier(ds.graph, {3, 42, 900}, parse_fanout("10,5"), prng);
+  ASSERT_TRUE(sub.graph.has_coeff_in_degrees());
+  const Graph merged = with_self_loops(sub.graph);
+  expect_same_edges(merged, builder_with_self_loops(sub.graph));
+  EXPECT_FALSE(merged.has_coeff_in_degrees());
 }
 
 TEST(Builder, UndirectedEdgeAddsBothDirections) {

@@ -3,7 +3,9 @@
 // shard sizing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generate.hpp"
@@ -117,6 +119,111 @@ TEST(ShardGrid, OutOfRangeCoordThrows) {
   const graph::Graph g = random_graph(6);
   const ShardGrid grid(g, 50);
   EXPECT_THROW((void)grid.shard_edges({grid.dim(), 0}), util::CheckError);
+}
+
+// ------------------------------------------------- grid differential test --
+/// Sort-based grid construction, the oracle for ShardGrid's sort-free
+/// build: bucket edges by shard, sort each bucket (dst, src), then sort +
+/// unique each shard's sources and destinations.
+struct OracleGrid {
+  std::vector<std::vector<graph::Edge>> edges;
+  std::vector<std::vector<graph::NodeId>> sources;
+  std::vector<std::vector<graph::NodeId>> dests;
+};
+
+OracleGrid sorted_grid(const graph::Graph& g, graph::NodeId n) {
+  const std::size_t dim = util::ceil_div(g.num_nodes(), n);
+  OracleGrid oracle;
+  oracle.edges.resize(dim * dim);
+  for (const graph::Edge& e : g.edges()) {
+    oracle.edges[(e.src / n) * dim + e.dst / n].push_back(e);
+  }
+  const auto sorted_unique = [](std::vector<graph::NodeId> ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+  };
+  for (std::vector<graph::Edge>& bucket : oracle.edges) {
+    std::sort(bucket.begin(), bucket.end(), [](const graph::Edge& a, const graph::Edge& b) {
+      return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+    });
+    std::vector<graph::NodeId> srcs;
+    std::vector<graph::NodeId> dsts;
+    for (const graph::Edge& e : bucket) {
+      srcs.push_back(e.src);
+      dsts.push_back(e.dst);
+    }
+    oracle.sources.push_back(sorted_unique(std::move(srcs)));
+    oracle.dests.push_back(sorted_unique(std::move(dsts)));
+  }
+  return oracle;
+}
+
+enum class Loops { kNone, kSome, kAll };
+
+/// Random graph in which every node id congruent to 2 mod 3 is isolated
+/// (no edge, except a self loop under Loops::kAll).
+graph::Graph differential_graph(std::uint64_t seed, graph::NodeId v, std::size_t e,
+                                Loops loops) {
+  util::Prng prng(seed);
+  const auto endpoint = [&] {
+    graph::NodeId x = 0;
+    do {
+      x = static_cast<graph::NodeId>(prng.uniform_u64(v));
+    } while (x % 3 == 2);
+    return x;
+  };
+  graph::GraphBuilder b(v);
+  for (std::size_t i = 0; i < e; ++i) {
+    b.add_edge(endpoint(), endpoint());
+  }
+  b.remove_self_loops();
+  if (loops == Loops::kAll) {
+    b.add_self_loops();
+  } else if (loops == Loops::kSome) {
+    for (graph::NodeId u = 0; u < v; ++u) {
+      if (u % 3 != 2 && prng.bernoulli(0.5)) {
+        b.add_edge(u, u);
+      }
+    }
+  }
+  return b.build();
+}
+
+TEST(ShardGrid, MatchesSortBasedOracle) {
+  std::uint64_t seed = 100;
+  for (const Loops loops : {Loops::kNone, Loops::kSome, Loops::kAll}) {
+    for (const graph::NodeId v : {1u, 2u, 7u, 97u, 250u}) {
+      for (const graph::NodeId n : {1u, 3u, 16u, 25u, v, v + 5}) {
+        SCOPED_TRACE("loops=" + std::to_string(static_cast<int>(loops)) +
+                     " V=" + std::to_string(v) + " n=" + std::to_string(n));
+        const graph::Graph g = differential_graph(++seed, v, 6 * std::size_t{v}, loops);
+        const ShardGrid grid(g, n);
+        const OracleGrid oracle = sorted_grid(g, n);
+        ASSERT_EQ(std::size_t{grid.dim()} * grid.dim(), oracle.edges.size());
+        std::size_t total = 0;
+        for (std::uint32_t r = 0; r < grid.dim(); ++r) {
+          for (std::uint32_t c = 0; c < grid.dim(); ++c) {
+            const std::size_t s = std::size_t{r} * grid.dim() + c;
+            const auto edges = grid.shard_edges({r, c});
+            const auto sources = grid.shard_sources({r, c});
+            const auto dests = grid.shard_dests({r, c});
+            ASSERT_TRUE(std::equal(edges.begin(), edges.end(), oracle.edges[s].begin(),
+                                   oracle.edges[s].end()))
+                << "edges of shard (" << r << "," << c << ")";
+            ASSERT_TRUE(std::equal(sources.begin(), sources.end(), oracle.sources[s].begin(),
+                                   oracle.sources[s].end()))
+                << "sources of shard (" << r << "," << c << ")";
+            ASSERT_TRUE(std::equal(dests.begin(), dests.end(), oracle.dests[s].begin(),
+                                   oracle.dests[s].end()))
+                << "dests of shard (" << r << "," << c << ")";
+            total += edges.size();
+          }
+        }
+        EXPECT_EQ(total, g.num_edges());
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- traversal --

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -129,6 +130,27 @@ class JsonReport {
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/// The golden-fingerprint gate of a serving determinism bench. `golden` is
+/// the fingerprint recorded at the configuration CI runs; `applies` says
+/// whether this invocation is that configuration. Writes
+/// `golden.<name>.checked` and (when checked) `gates.<name>_matches_golden`,
+/// reports a mismatch on stderr, and returns false only on a mismatch — an
+/// unpinned configuration passes unchecked.
+inline bool golden_gate(JsonReport& json, const std::string& name, bool applies,
+                        std::uint64_t golden, std::uint64_t actual) {
+  json.set("golden." + name + ".checked", static_cast<std::uint64_t>(applies ? 1 : 0));
+  if (!applies) {
+    return true;
+  }
+  const bool match = actual == golden;
+  json.set("gates." + name + "_matches_golden", static_cast<std::uint64_t>(match ? 1 : 0));
+  if (!match) {
+    std::cerr << "DIVERGENCE: " << name << " fingerprint " << std::hex << actual
+              << " differs from the golden " << golden << std::dec << "\n";
+  }
+  return match;
+}
 
 /// Extracts a `--json <path>` / `--json=<path>` flag from the raw argv
 /// (before benchmark::Initialize eats its own flags). Empty = not given.

@@ -2,9 +2,9 @@
 // sinusoidal "diurnal day" trace drives (1) an autoscaled fleet against
 // every static fleet it could have bought for the same device-hours, and
 // (2) a fixed fleet through a mid-day device crash, on Server::serve at
-// 1/2/4 worker threads and the trusted Server::run_reference baseline.
+// 1/2/4 worker threads.
 //
-// Three hard invariants, enforced with a non-zero exit:
+// Four hard invariants, enforced with a non-zero exit:
 //   * elasticity pays — the autoscaler's SLO attainment must beat every
 //     static fleet whose device-hours bill is no larger than the
 //     autoscaler's (equal spend, worse tail: that is the whole point of
@@ -13,8 +13,11 @@
 //     request is accounted for exactly once (completed + shed + failed ==
 //     submitted; no lost or duplicated completions);
 //   * bitwise determinism — the crash scenario produces the identical
-//     report (fingerprint over every record field) from run_reference and
-//     serve at 1, 2 and 4 simulation threads.
+//     report (fingerprint over every record field) at 1, 2 and 4
+//     simulation threads;
+//   * golden report — at the configuration CI runs (--requests 8000,
+//     defaults otherwise) that fingerprint equals the one recorded from the
+//     retired single-threaded reference event loop.
 //
 //   ./serve_faults [--json BENCH_serve_faults.json] [--requests N]
 //                  [--peak-rate RPS] [--period-ms MS] [--slo-ms MS]
@@ -31,6 +34,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/args.hpp"
+#include "util/fnv.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -41,42 +45,29 @@ using namespace gnnerator;
 /// the fault-path fields (failed/retries/requeues). Two runs with the same
 /// fingerprint produced the same simulation, byte for byte.
 std::uint64_t report_fingerprint(const serve::ServeReport& report) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-  };
+  util::Fnv1a fnv(util::kFnvShortBasis);
   for (const serve::Outcome& o : report.outcomes) {
-    mix(o.id);
-    mix(o.arrival);
-    mix(o.dispatch);
-    mix(o.completion);
-    mix(o.device);
-    mix(o.batch_size);
-    mix(o.shed ? 1 : 0);
-    mix(o.failed ? 1 : 0);
-    mix(o.retries);
-    mix(o.requeues);
-    mix(o.service_cycles);
-    mix_str(o.class_key);
-    mix_str(o.klass);
+    fnv.mix(o.id);
+    fnv.mix(o.arrival);
+    fnv.mix(o.dispatch);
+    fnv.mix(o.completion);
+    fnv.mix(o.device);
+    fnv.mix(o.batch_size);
+    fnv.mix(o.shed ? 1 : 0);
+    fnv.mix(o.failed ? 1 : 0);
+    fnv.mix(o.retries);
+    fnv.mix(o.requeues);
+    fnv.mix(o.service_cycles);
+    fnv.mix_string(o.class_key);
+    fnv.mix_string(o.klass);
   }
-  mix(report.end_cycle);
-  mix(report.events);
-  mix(report.max_queue_depth);
-  mix(report.scale_ups);
-  mix(report.scale_downs);
-  mix_str(report.format());
-  return h;
+  fnv.mix(report.end_cycle);
+  fnv.mix(report.events);
+  fnv.mix(report.max_queue_depth);
+  fnv.mix(report.scale_ups);
+  fnv.mix(report.scale_downs);
+  fnv.mix_string(report.format());
+  return fnv.value();
 }
 
 serve::Server make_server(const serve::ServerOptions& options) {
@@ -105,14 +96,12 @@ struct RunResult {
   double duration_ms = 0.0;
 };
 
-RunResult run_once(const serve::ServerOptions& options, const std::string& trace_path,
-                   bool reference) {
+RunResult run_once(const serve::ServerOptions& options, const std::string& trace_path) {
   serve::Server server = make_server(options);
   const core::SimulationRequest base;
   serve::StreamingTraceWorkload workload(trace_path, base, options.clock_ghz);
   const auto start = std::chrono::steady_clock::now();
-  const serve::ServeReport report =
-      reference ? server.run_reference(workload) : server.serve(workload);
+  const serve::ServeReport report = server.serve(workload);
   const auto stop = std::chrono::steady_clock::now();
 
   RunResult r;
@@ -142,6 +131,11 @@ serve::ServerOptions base_options(std::size_t devices, std::size_t sim_threads) 
   options.sim_threads = sim_threads;
   return options;
 }
+
+/// The crash scenario's report fingerprint at the configuration CI runs,
+/// recorded from the retired single-threaded reference event loop.
+constexpr std::size_t kGoldenRequests = 8'000;
+constexpr std::uint64_t kGoldenFingerprint = 0x4c0b7096f028150eULL;
 
 }  // namespace
 
@@ -200,7 +194,7 @@ int main(int argc, char** argv) {
   scaler.up_queue_per_device = 40.0;
   scaler.down_queue_per_device = 12.0;
   auto_options.autoscale = scaler;
-  const RunResult elastic = run_once(auto_options, trace_path, /*reference=*/false);
+  const RunResult elastic = run_once(auto_options, trace_path);
   row_for("autoscale 1:" + std::to_string(max_fleet), elastic);
   json.set("autoscale.slo_attainment", elastic.slo_attainment);
   json.set("autoscale.p95_ms", elastic.p95_ms);
@@ -211,8 +205,7 @@ int main(int argc, char** argv) {
   bool elasticity_pays = true;
   std::size_t compared = 0;
   for (std::size_t n = 1; n <= max_fleet; ++n) {
-    const RunResult fixed =
-        run_once(base_options(n, /*sim_threads=*/1), trace_path, /*reference=*/false);
+    const RunResult fixed = run_once(base_options(n, /*sim_threads=*/1), trace_path);
     row_for("static x" + std::to_string(n), fixed);
     const std::string key = "static_" + std::to_string(n);
     json.set(key + ".slo_attainment", fixed.slo_attainment);
@@ -243,30 +236,32 @@ int main(int argc, char** argv) {
            static_cast<std::uint64_t>(elasticity_pays ? 1 : 0));
   json.set("autoscale.scaled", static_cast<std::uint64_t>(elastic.scale_ups > 0 ? 1 : 0));
 
-  // ---- Gates 2+3: crash a device mid-day; conserve and stay bitwise ----
-  // ---- identical across the reference loop and all thread counts.    ----
+  // ---- Gates 2-4: crash a device mid-day; conserve, stay bitwise ----
+  // ---- identical across thread counts, and match the golden.        ----
   std::ostringstream faults;
   faults << "crash@" << 0.3 * day_ms << "ms:dev1,recover@" << 0.6 * day_ms << "ms:dev1";
-  serve::ServerOptions crash_ref = base_options(/*devices=*/3, /*sim_threads=*/1);
-  crash_ref.faults = serve::parse_fault_plan(faults.str(), crash_ref.clock_ghz);
   json.set("crash.fault_plan_hash",
            static_cast<std::uint64_t>(std::hash<std::string>{}(faults.str())));
 
-  const RunResult crash_reference = run_once(crash_ref, trace_path, /*reference=*/true);
-  row_for("crash ref", crash_reference);
-  bool conserved = crash_reference.completed + crash_reference.shed +
-                       crash_reference.failed == rows &&
-                   crash_reference.outcomes == rows;
+  bool conserved = true;
   bool identical = true;
+  RunResult crash_t1;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     serve::ServerOptions crash_opts = base_options(/*devices=*/3, threads);
-    crash_opts.faults = crash_ref.faults;
-    const RunResult r = run_once(crash_opts, trace_path, /*reference=*/false);
+    crash_opts.faults = serve::parse_fault_plan(faults.str(), crash_opts.clock_ghz);
+    const RunResult r = run_once(crash_opts, trace_path);
     row_for("crash t=" + std::to_string(threads), r);
-    if (r.fingerprint != crash_reference.fingerprint) {
-      identical = false;
-      std::cerr << "DIVERGENCE: serve(sim_threads=" << threads
-                << ") under the crash plan differs from run_reference\n";
+    if (threads == 1) {
+      crash_t1 = r;
+    } else {
+      const bool match = r.fingerprint == crash_t1.fingerprint;
+      json.set("crash_t" + std::to_string(threads) + ".matches_t1",
+               static_cast<std::uint64_t>(match ? 1 : 0));
+      if (!match) {
+        identical = false;
+        std::cerr << "DIVERGENCE: serve(sim_threads=" << threads
+                  << ") under the crash plan differs from sim_threads=1\n";
+      }
     }
     if (r.completed + r.shed + r.failed != rows || r.outcomes != rows) {
       conserved = false;
@@ -274,22 +269,19 @@ int main(int argc, char** argv) {
                 << (r.completed + r.shed + r.failed) << "/" << rows << " requests ("
                 << r.outcomes << " records)\n";
     }
-    const std::string key = "crash_t" + std::to_string(threads);
-    json.set(key + ".matches_reference",
-             static_cast<std::uint64_t>(r.fingerprint == crash_reference.fingerprint ? 1 : 0));
   }
-  json.set("crash.completed", static_cast<std::uint64_t>(crash_reference.completed));
-  json.set("crash.shed", static_cast<std::uint64_t>(crash_reference.shed));
-  json.set("crash.failed", static_cast<std::uint64_t>(crash_reference.failed));
-  json.set("crash.retries", crash_reference.retries);
-  json.set("crash.requeues", crash_reference.requeues);
+  json.set("crash.completed", static_cast<std::uint64_t>(crash_t1.completed));
+  json.set("crash.shed", static_cast<std::uint64_t>(crash_t1.shed));
+  json.set("crash.failed", static_cast<std::uint64_t>(crash_t1.failed));
+  json.set("crash.retries", crash_t1.retries);
+  json.set("crash.requeues", crash_t1.requeues);
   json.set("gates.crash_conserves_requests", static_cast<std::uint64_t>(conserved ? 1 : 0));
   json.set("gates.crash_reports_identical", static_cast<std::uint64_t>(identical ? 1 : 0));
-  if (crash_reference.completed + crash_reference.shed + crash_reference.failed != rows) {
-    std::cerr << "REGRESSION: reference crash run accounts for "
-              << (crash_reference.completed + crash_reference.shed + crash_reference.failed)
-              << "/" << rows << " requests\n";
-  }
+  const bool golden = bench::golden_gate(
+      json, "crash_report",
+      requests == kGoldenRequests && peak_rate == 100'000.0 && period_ms == 100.0 &&
+          slo_ms == 3.0,
+      kGoldenFingerprint, crash_t1.fingerprint);
 
   std::cout << table.to_string();
   if (!json_path.empty()) {
@@ -302,5 +294,5 @@ int main(int argc, char** argv) {
   if (!args.get_bool("keep-trace", false)) {
     std::remove(trace_path.c_str());
   }
-  return (elasticity_pays && conserved && identical) ? 0 : 1;
+  return (elasticity_pays && conserved && identical && golden) ? 0 : 1;
 }

@@ -1,19 +1,23 @@
 // Observability-overhead benchmark and determinism gate. One 20k-request
 // synthetic trace runs through the serving stack four ways — no recorder,
 // null-sink recorder (attached but every stream off), full-span tracing,
-// and full tracing at sim_threads 2/4 plus the run_reference loop — and a
-// separate fault scenario (probed crash + requeue + autoscaler) exports the
-// sample Chrome trace artifact.
+// and full tracing at sim_threads 2/4 — and a separate fault scenario
+// (probed crash + requeue + autoscaler) exports the sample Chrome trace
+// artifact.
 //
-// Three hard invariants, enforced with a non-zero exit:
+// Four hard invariants, enforced with a non-zero exit:
 //   * near-zero disabled cost — a null-sink recorder's wall clock stays
 //     within baseline x 1.02 + 20 ms of no recorder at all (min-of-N runs on
 //     both sides; the hooks must stay one pointer check). The bound is
 //     printed and written as disabled.bound_s;
 //   * tracing changes nothing — full-span tracing yields fingerprint-
 //     identical completion records to the untraced baseline;
-//   * byte-determinism — the exported Chrome trace is byte-identical
-//     between Server::serve at sim_threads 1/2/4 and Server::run_reference.
+//   * byte-determinism — the exported Chrome trace and registry snapshot
+//     are byte-identical at sim_threads 1/2/4;
+//   * golden trace — at the configuration CI runs (--requests 20000,
+//     defaults otherwise) the traced run's records, trace bytes and
+//     registry snapshot equal the fingerprints recorded from the retired
+//     single-threaded reference event loop.
 //
 // The fault scenario must additionally surface the crash instant, the
 // aborted busy span, the retry (requeue/resume) spans and the autoscaler
@@ -40,6 +44,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/args.hpp"
+#include "util/fnv.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -50,38 +55,25 @@ using namespace gnnerator;
 /// text legitimately gains an exec-windows line when a recorder is
 /// attached; the *simulation* — every record field — must not change).
 std::uint64_t records_fingerprint(const serve::ServeReport& report) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-  };
+  util::Fnv1a fnv(util::kFnvShortBasis);
   for (const serve::Outcome& o : report.outcomes) {
-    mix(o.id);
-    mix(o.arrival);
-    mix(o.dispatch);
-    mix(o.completion);
-    mix(o.device);
-    mix(o.batch_size);
-    mix((o.shed ? 1u : 0u) | (o.failed ? 2u : 0u));
-    mix(o.retries);
-    mix(o.requeues);
-    mix(o.service_cycles);
-    mix_str(o.class_key);
-    mix_str(o.klass);
+    fnv.mix(o.id);
+    fnv.mix(o.arrival);
+    fnv.mix(o.dispatch);
+    fnv.mix(o.completion);
+    fnv.mix(o.device);
+    fnv.mix(o.batch_size);
+    fnv.mix((o.shed ? 1u : 0u) | (o.failed ? 2u : 0u));
+    fnv.mix(o.retries);
+    fnv.mix(o.requeues);
+    fnv.mix(o.service_cycles);
+    fnv.mix_string(o.class_key);
+    fnv.mix_string(o.klass);
   }
-  mix(report.end_cycle);
-  mix(report.events);
-  mix(report.max_queue_depth);
-  return h;
+  fnv.mix(report.end_cycle);
+  fnv.mix(report.events);
+  fnv.mix(report.max_queue_depth);
+  return fnv.value();
 }
 
 serve::ServerOptions make_options(std::size_t devices, std::size_t sim_threads,
@@ -117,7 +109,7 @@ struct RunResult {
 /// classes compiled/priced before the clock starts), then the 20k trace.
 /// Fresh state on every variant keeps the comparison honest: engine-window
 /// templates and plan caches never leak across runs.
-RunResult run_once(std::size_t devices, std::size_t sim_threads, bool reference,
+RunResult run_once(std::size_t devices, std::size_t sim_threads,
                    const obs::RecorderOptions* rec_options, const std::string& warm_path,
                    const std::string& trace_path) {
   std::shared_ptr<obs::Recorder> recorder;
@@ -128,16 +120,11 @@ RunResult run_once(std::size_t devices, std::size_t sim_threads, bool reference,
   const core::SimulationRequest base;
 
   serve::StreamingTraceWorkload warm(warm_path, base, 1.0);
-  if (reference) {
-    (void)server.run_reference(warm);
-  } else {
-    (void)server.serve(warm);
-  }
+  (void)server.serve(warm);
 
   serve::StreamingTraceWorkload workload(trace_path, base, 1.0);
   const auto start = std::chrono::steady_clock::now();
-  const serve::ServeReport report =
-      reference ? server.run_reference(workload) : server.serve(workload);
+  const serve::ServeReport report = server.serve(workload);
   const auto stop = std::chrono::steady_clock::now();
 
   RunResult r;
@@ -158,8 +145,7 @@ RunResult best_of(std::size_t repeats, std::size_t devices,
                   const std::string& trace_path) {
   RunResult best;
   for (std::size_t i = 0; i < repeats; ++i) {
-    RunResult r = run_once(devices, /*sim_threads=*/1, /*reference=*/false, rec_options,
-                           warm_path, trace_path);
+    RunResult r = run_once(devices, /*sim_threads=*/1, rec_options, warm_path, trace_path);
     if (i == 0 || r.wall_s < best.wall_s) {
       best = std::move(r);
     }
@@ -195,7 +181,7 @@ std::shared_ptr<obs::Recorder> fault_scenario_run(std::uint64_t* scale_ups,
 
   serve::Server probe = make_server(options);
   auto probe_workload = workload_for(options);
-  const serve::ServeReport probe_report = probe.run_reference(probe_workload);
+  const serve::ServeReport probe_report = probe.serve(probe_workload);
   serve::Cycle crash_at = 0;
   for (const serve::Outcome& o : probe_report.outcomes) {
     if (o.completion > o.dispatch + 2) {
@@ -222,6 +208,13 @@ std::shared_ptr<obs::Recorder> fault_scenario_run(std::uint64_t* scale_ups,
   *retries = report.metrics.retries;
   return recorder;
 }
+
+/// The fully traced run's fingerprints at the configuration CI runs,
+/// recorded from the retired single-threaded reference event loop.
+constexpr std::size_t kGoldenRequests = 20'000;
+constexpr std::uint64_t kGoldenRecords = 0xeb28949d8cb04039ULL;
+constexpr std::uint64_t kGoldenTrace = 0x19cf2bb81403d99eULL;
+constexpr std::uint64_t kGoldenRegistry = 0xceb336741f7b5a59ULL;
 
 }  // namespace
 
@@ -285,9 +278,7 @@ int main(int argc, char** argv) {
   // ---- Gate (b): full tracing changes no completion record. ----------------
   obs::RecorderOptions full;
   full.engine_spans = true;
-  const RunResult traced =
-      run_once(devices, /*sim_threads=*/1, /*reference=*/false, &full, warm_path,
-               trace_path);
+  const RunResult traced = run_once(devices, /*sim_threads=*/1, &full, warm_path, trace_path);
   const bool same_records = traced.fingerprint == baseline.fingerprint &&
                             disabled.fingerprint == baseline.fingerprint;
   json.set("traced.wall_s", traced.wall_s);
@@ -297,17 +288,10 @@ int main(int argc, char** argv) {
                  util::Table::fixed(static_cast<double>(traced.completed) / traced.wall_s, 0),
                  util::Table::fixed(traced.wall_s / baseline.wall_s, 3)});
 
-  // ---- Gate (c): trace bytes identical across loops and threads. -----------
+  // ---- Gate (c): trace bytes identical across threads. ---------------------
   bool trace_identical = true;
-  const RunResult ref = run_once(devices, /*sim_threads=*/1, /*reference=*/true, &full,
-                                 warm_path, trace_path);
-  if (ref.trace != traced.trace || ref.metrics != traced.metrics) {
-    trace_identical = false;
-    std::cerr << "DIVERGENCE: run_reference exported a different trace than serve\n";
-  }
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const RunResult r = run_once(devices, threads, /*reference=*/false, &full, warm_path,
-                                 trace_path);
+    const RunResult r = run_once(devices, threads, &full, warm_path, trace_path);
     if (r.trace != traced.trace || r.metrics != traced.metrics) {
       trace_identical = false;
       std::cerr << "DIVERGENCE: sim_threads=" << threads
@@ -349,6 +333,15 @@ int main(int argc, char** argv) {
   json.set("gates.records_identical", static_cast<std::uint64_t>(same_records ? 1 : 0));
   json.set("gates.trace_bytes_identical",
            static_cast<std::uint64_t>(trace_identical ? 1 : 0));
+  // ---- Gate (d): the traced run matches the goldens. -----------------------
+  const bool golden_config = requests == kGoldenRequests && devices == 4 && rate == 20'000.0;
+  const bool records_golden = bench::golden_gate(json, "traced_records", golden_config,
+                                                 kGoldenRecords, traced.fingerprint);
+  const bool trace_golden = bench::golden_gate(json, "trace_bytes", golden_config,
+                                               kGoldenTrace, util::fnv1a64(traced.trace));
+  const bool registry_golden =
+      bench::golden_gate(json, "registry_snapshot", golden_config, kGoldenRegistry,
+                         util::fnv1a64(traced.metrics));
   json.set("gates.fault_structure_visible",
            static_cast<std::uint64_t>(fault_structure ? 1 : 0));
 
@@ -384,7 +377,7 @@ int main(int argc, char** argv) {
     std::cerr << "DIVERGENCE: tracing changed the completion records\n";
     ok = false;
   }
-  if (!trace_identical) {
+  if (!trace_identical || !records_golden || !trace_golden || !registry_golden) {
     ok = false;
   }
   if (!fault_structure) {

@@ -11,8 +11,9 @@
 //     analytic-only arm's p95 on the same workload;
 //   * byte-determinism — a tiered + fault-injected scenario produces
 //     fingerprint-identical completion records AND a byte-identical oracle
-//     state (analytic memo + every exec window) between Server::serve at
-//     sim_threads 1/2/4 and Server::run_reference.
+//     state (analytic memo + every exec window) at sim_threads 1/2/4, and
+//     at the configuration CI runs (defaults) both equal the goldens
+//     recorded from the retired single-threaded reference event loop.
 //
 //   ./serve_oracle [--json BENCH_serve_oracle.json] [--requests N]
 //                  [--rate RPS] [--warm N]
@@ -27,6 +28,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/args.hpp"
+#include "util/fnv.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -35,38 +37,25 @@ using namespace gnnerator;
 
 /// FNV-1a over the completion records (same field set as serve_obs).
 std::uint64_t records_fingerprint(const serve::ServeReport& report) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-  };
+  util::Fnv1a fnv(util::kFnvShortBasis);
   for (const serve::Outcome& o : report.outcomes) {
-    mix(o.id);
-    mix(o.arrival);
-    mix(o.dispatch);
-    mix(o.completion);
-    mix(o.device);
-    mix(o.batch_size);
-    mix((o.shed ? 1u : 0u) | (o.failed ? 2u : 0u));
-    mix(o.retries);
-    mix(o.requeues);
-    mix(o.service_cycles);
-    mix_str(o.class_key);
-    mix_str(o.klass);
+    fnv.mix(o.id);
+    fnv.mix(o.arrival);
+    fnv.mix(o.dispatch);
+    fnv.mix(o.completion);
+    fnv.mix(o.device);
+    fnv.mix(o.batch_size);
+    fnv.mix((o.shed ? 1u : 0u) | (o.failed ? 2u : 0u));
+    fnv.mix(o.retries);
+    fnv.mix(o.requeues);
+    fnv.mix(o.service_cycles);
+    fnv.mix_string(o.class_key);
+    fnv.mix_string(o.klass);
   }
-  mix(report.end_cycle);
-  mix(report.events);
-  mix(report.max_queue_depth);
-  return h;
+  fnv.mix(report.end_cycle);
+  fnv.mix(report.events);
+  fnv.mix(report.max_queue_depth);
+  return fnv.value();
 }
 
 /// Six-way plan-class mix: {cora, citeseer} x {GCN, SAGE-mean, SAGE-pool}.
@@ -140,8 +129,7 @@ struct LoopResult {
 /// The determinism scenario: SJF over the mixed fleet with two SLO tiers and
 /// a crash/recover fault plan — every oracle mutation path (admission blend,
 /// dispatch observation, WFQ charge, requeue repricing) is live at once.
-LoopResult determinism_run(bool reference, std::size_t sim_threads, std::size_t requests,
-                           double rate_rps) {
+LoopResult determinism_run(std::size_t sim_threads, std::size_t requests, double rate_rps) {
   serve::ServerOptions options;
   options.policy = serve::SchedulingPolicy::kSjf;
   options.fleet = serve::parse_fleet_spec("2xbaseline,1xnextgen");
@@ -153,13 +141,20 @@ LoopResult determinism_run(bool reference, std::size_t sim_threads, std::size_t 
   serve::Server server = make_server(options);
   serve::PoissonWorkload workload(mixed_templates(), rate_rps, requests, options.clock_ghz,
                                   /*seed=*/99);
-  const serve::ServeReport report =
-      reference ? server.run_reference(workload) : server.serve(workload);
+  const serve::ServeReport report = server.serve(workload);
   LoopResult r;
   r.records = records_fingerprint(report);
   r.oracle_state = server.cost_oracle().state_fingerprint();
   return r;
 }
+
+/// The determinism scenario's goldens at the configuration CI runs (the
+/// defaults), recorded from the retired single-threaded reference event
+/// loop.
+constexpr std::size_t kGoldenRequests = 2'000;
+constexpr double kGoldenRate = 25'000.0;
+constexpr std::uint64_t kGoldenRecords = 0x5cd21715492275a1ULL;
+constexpr std::uint64_t kGoldenOracleState = 0x02b1e0049edbaa72ULL;
 
 }  // namespace
 
@@ -211,35 +206,43 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Gate: loop/thread determinism of records AND oracle state. ----------
-  const LoopResult ref = determinism_run(/*reference=*/true, 1, requests, rate);
+  // ---- Gate: thread determinism of records AND oracle state, pinned to
+  // the goldens at the CI configuration. -----------------------------------
+  const LoopResult t1 = determinism_run(1, requests, rate);
   bool records_identical = true;
   bool oracle_identical = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const LoopResult r = determinism_run(/*reference=*/false, threads, requests, rate);
-    if (r.records != ref.records) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const LoopResult r = determinism_run(threads, requests, rate);
+    if (r.records != t1.records) {
       records_identical = false;
       std::cerr << "DIVERGENCE: sim_threads=" << threads
-                << " completion records differ from run_reference\n";
+                << " completion records differ from sim_threads=1\n";
     }
-    if (r.oracle_state != ref.oracle_state) {
+    if (r.oracle_state != t1.oracle_state) {
       oracle_identical = false;
       std::cerr << "DIVERGENCE: sim_threads=" << threads
-                << " oracle state differs from run_reference\n";
+                << " oracle state differs from sim_threads=1\n";
     }
   }
-  json.set("determinism.records_fingerprint", ref.records);
-  json.set("determinism.oracle_state_fingerprint", ref.oracle_state);
-  json.set("gates.records_identical_across_loops",
+  json.set("determinism.records_fingerprint", t1.records);
+  json.set("determinism.oracle_state_fingerprint", t1.oracle_state);
+  json.set("gates.records_identical_across_threads",
            static_cast<std::uint64_t>(records_identical ? 1 : 0));
-  json.set("gates.oracle_state_identical_across_loops",
+  json.set("gates.oracle_state_identical_across_threads",
            static_cast<std::uint64_t>(oracle_identical ? 1 : 0));
-  ok = ok && records_identical && oracle_identical;
+  const bool golden_config = requests == kGoldenRequests && rate == kGoldenRate;
+  const bool records_golden =
+      bench::golden_gate(json, "records", golden_config, kGoldenRecords, t1.records);
+  const bool oracle_golden = bench::golden_gate(json, "oracle_state", golden_config,
+                                                kGoldenOracleState, t1.oracle_state);
+  const bool golden = records_golden && oracle_golden;
+  ok = ok && records_identical && oracle_identical && golden;
 
   std::cout << table.to_string();
-  std::cout << "\ndeterminism: records fp " << ref.records << ", oracle state fp "
-            << ref.oracle_state << " (serve 1/2/4 threads == run_reference: "
-            << ((records_identical && oracle_identical) ? "yes" : "NO") << ")\n";
+  std::cout << "\ndeterminism: records fp " << t1.records << ", oracle state fp "
+            << t1.oracle_state << " (sim_threads 1/2/4 identical: "
+            << ((records_identical && oracle_identical) ? "yes" : "NO") << ", golden: "
+            << (golden_config ? (golden ? "match" : "MISMATCH") : "not pinned") << ")\n";
   if (!json_path.empty()) {
     if (!json.write(json_path)) {
       std::cerr << "failed to write " << json_path << "\n";

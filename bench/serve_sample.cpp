@@ -4,7 +4,7 @@
 // per-request capacity, comparing mixed-batch plan fusion against
 // per-request dispatch and measuring the pre-sampling feature cache.
 //
-// Three hard invariants, enforced with a non-zero exit:
+// Four hard invariants, enforced with a non-zero exit:
 //   * fusion pays — at 2x capacity, fused dispatch (distinct frontiers of
 //     one batching class concatenated into a single device pass) must beat
 //     per-request dispatch (max_batch = 1) on p95 latency;
@@ -12,7 +12,10 @@
 //     feature cache must land a hit rate above 0.5 and save DRAM bytes;
 //   * bitwise determinism — the fused + cached scenario produces the
 //     identical report (fingerprint over every record field, cache counters
-//     included) from run_reference and serve at 1, 2 and 4 sim threads.
+//     included) at 1, 2 and 4 sim threads;
+//   * golden report — at the configuration CI runs (--seed-queries 1500,
+//     defaults otherwise) that fingerprint equals the one recorded from the
+//     retired single-threaded reference event loop.
 //
 //   ./serve_sample [--json BENCH_serve_sample.json] [--seed-queries N]
 //                  [--fanout 10/5] [--devices N] [--cache-mb MB]
@@ -26,6 +29,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/args.hpp"
+#include "util/fnv.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -37,40 +41,27 @@ using namespace gnnerator;
 /// equal fingerprints mean the simulations were indistinguishable —
 /// scheduling, fusion compositions, and cache state included.
 std::uint64_t report_fingerprint(const serve::ServeReport& report) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-  };
+  util::Fnv1a fnv(util::kFnvShortBasis);
   for (const serve::Outcome& o : report.outcomes) {
-    mix(o.id);
-    mix(o.arrival);
-    mix(o.dispatch);
-    mix(o.completion);
-    mix(o.device);
-    mix(o.batch_size);
-    mix(o.shed ? 1 : 0);
-    mix(o.failed ? 1 : 0);
-    mix(o.service_cycles);
-    mix_str(o.class_key);
+    fnv.mix(o.id);
+    fnv.mix(o.arrival);
+    fnv.mix(o.dispatch);
+    fnv.mix(o.completion);
+    fnv.mix(o.device);
+    fnv.mix(o.batch_size);
+    fnv.mix(o.shed ? 1 : 0);
+    fnv.mix(o.failed ? 1 : 0);
+    fnv.mix(o.service_cycles);
+    fnv.mix_string(o.class_key);
   }
-  mix(report.end_cycle);
-  mix(report.events);
-  mix(report.feature_cache.hits);
-  mix(report.feature_cache.misses);
-  mix(report.feature_cache.evictions);
-  mix(report.feature_cache.bytes_saved);
-  mix_str(report.format());
-  return h;
+  fnv.mix(report.end_cycle);
+  fnv.mix(report.events);
+  fnv.mix(report.feature_cache.hits);
+  fnv.mix(report.feature_cache.misses);
+  fnv.mix(report.feature_cache.evictions);
+  fnv.mix(report.feature_cache.bytes_saved);
+  fnv.mix_string(report.format());
+  return fnv.value();
 }
 
 struct RunResult {
@@ -110,16 +101,14 @@ serve::SampledQueryWorkload make_workload(const WorkloadSpec& spec) {
                                      /*clock_ghz=*/1.0, spec.seed);
 }
 
-RunResult run_once(const serve::ServerOptions& options, const WorkloadSpec& spec,
-                   bool reference) {
+RunResult run_once(const serve::ServerOptions& options, const WorkloadSpec& spec) {
   serve::Server server(options);
   server.add_dataset(
       graph::make_dataset_by_name(spec.dataset->spec.name, /*seed=*/1,
                                   /*with_features=*/false));
   serve::SampledQueryWorkload workload = make_workload(spec);
   const auto start = std::chrono::steady_clock::now();
-  const serve::ServeReport report =
-      reference ? server.run_reference(workload) : server.serve(workload);
+  const serve::ServeReport report = server.serve(workload);
   const auto stop = std::chrono::steady_clock::now();
 
   RunResult r;
@@ -156,6 +145,11 @@ serve::ServerOptions base_options(std::size_t devices) {
   return options;
 }
 
+/// The fused + cached scenario's report fingerprint at the configuration CI
+/// runs, recorded from the retired single-threaded reference event loop.
+constexpr std::size_t kGoldenQueries = 1'500;
+constexpr std::uint64_t kGoldenFingerprint = 0x59e54673bc7f0ab6ULL;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -185,7 +179,7 @@ int main(int argc, char** argv) {
   spec.num_requests = std::min<std::size_t>(500, queries);
   serve::ServerOptions solo = base_options(devices);
   solo.limits.max_batch = 1;
-  const RunResult calibration = run_once(solo, spec, /*reference=*/false);
+  const RunResult calibration = run_once(solo, spec);
   const double service_s = calibration.mean_service_cycles / (solo.clock_ghz * 1e9);
   const double capacity_rps = static_cast<double>(devices) / service_s;
 
@@ -211,7 +205,7 @@ int main(int argc, char** argv) {
   json.set("calibration.capacity_rps", capacity_rps);
   json.set("load.rate_rps", spec.rate_rps);
 
-  const RunResult per_request = run_once(solo, spec, /*reference=*/false);
+  const RunResult per_request = run_once(solo, spec);
   row_for("per-request", per_request);
   json.set("per_request.p50_ms", per_request.p50_ms);
   json.set("per_request.p95_ms", per_request.p95_ms);
@@ -221,7 +215,7 @@ int main(int argc, char** argv) {
   serve::FeatureCacheOptions cache;
   cache.budget_bytes = static_cast<std::uint64_t>(cache_mb * (1 << 20));
   fused_options.feature_cache = cache;
-  const RunResult fused = run_once(fused_options, spec, /*reference=*/false);
+  const RunResult fused = run_once(fused_options, spec);
   row_for("fused+cache", fused);
   json.set("fused.p50_ms", fused.p50_ms);
   json.set("fused.p95_ms", fused.p95_ms);
@@ -246,28 +240,31 @@ int main(int argc, char** argv) {
               << ") below the 0.5 gate on the degree-skewed workload\n";
   }
 
-  // ---- Gate 3: the fused + cached scenario is loop- and thread-invariant.
-  const RunResult reference = run_once(fused_options, spec, /*reference=*/true);
-  row_for("reference", reference);
+  // ---- Gates 3+4: the fused + cached scenario (the run above is its
+  // sim_threads=1 arm) is thread-invariant and matches the golden. --------
   bool identical = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     serve::ServerOptions threaded = fused_options;
     threaded.sim_threads = threads;
-    const RunResult r = run_once(threaded, spec, /*reference=*/false);
-    row_for("serve t=" + std::to_string(threads), r);
+    const RunResult r = run_once(threaded, spec);
+    row_for("fused t=" + std::to_string(threads), r);
     const std::string key = "threads_" + std::to_string(threads);
-    json.set(key + ".matches_reference",
-             static_cast<std::uint64_t>(r.fingerprint == reference.fingerprint ? 1 : 0));
-    if (r.fingerprint != reference.fingerprint) {
+    json.set(key + ".matches_t1",
+             static_cast<std::uint64_t>(r.fingerprint == fused.fingerprint ? 1 : 0));
+    if (r.fingerprint != fused.fingerprint) {
       identical = false;
       std::cerr << "DIVERGENCE: serve(sim_threads=" << threads
-                << ") differs from run_reference on the sampled workload\n";
+                << ") differs from sim_threads=1 on the sampled workload\n";
     }
   }
 
   json.set("gates.fusion_beats_per_request", static_cast<std::uint64_t>(fusion_pays ? 1 : 0));
   json.set("gates.cache_hit_rate_above_half", static_cast<std::uint64_t>(cache_pays ? 1 : 0));
   json.set("gates.reports_identical", static_cast<std::uint64_t>(identical ? 1 : 0));
+  const bool golden = bench::golden_gate(
+      json, "fused_report",
+      queries == kGoldenQueries && fanout == "10/5" && devices == 2 && cache_mb == 8.0,
+      kGoldenFingerprint, fused.fingerprint);
 
   std::cout << table.to_string();
   if (!json_path.empty()) {
@@ -277,5 +274,5 @@ int main(int argc, char** argv) {
     }
     std::cout << "\nwrote " << json_path << "\n";
   }
-  return (fusion_pays && cache_pays && identical) ? 0 : 1;
+  return (fusion_pays && cache_pays && identical && golden) ? 0 : 1;
 }

@@ -6,34 +6,9 @@
 #include <limits>
 
 #include "core/compiler.hpp"
+#include "util/fnv.hpp"
 
 namespace gnnerator::core {
-
-namespace {
-
-/// FNV-1a, the same fingerprint primitive the serving benches use.
-struct Fnv1a {
-  std::uint64_t hash = 1469598103934665603ULL;
-
-  void byte(std::uint8_t b) {
-    hash ^= b;
-    hash *= 1099511628211ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(std::string_view s) {
-    u64(s.size());
-    for (const char c : s) {
-      byte(static_cast<std::uint8_t>(c));
-    }
-  }
-};
-
-}  // namespace
 
 CostOracle::CostOracle(CostOracleOptions options)
     : options_(options), windows_(options.ewma_alpha) {}
@@ -121,24 +96,24 @@ std::optional<std::uint64_t> CostOracle::measured(std::string_view plan_class,
 }
 
 std::uint64_t CostOracle::state_fingerprint() const {
-  Fnv1a fp;
-  fp.u64(memo_.size());
+  util::Fnv1a fp(util::kFnvShortBasis);
+  fp.mix(memo_.size());
   for (const auto& [key, estimate] : memo_) {
-    fp.str(key);
-    fp.u64(estimate);
+    fp.mix_string(key);
+    fp.mix(estimate);
   }
   const auto snapshot = windows_.snapshot();
-  fp.u64(snapshot.size());
+  fp.mix(snapshot.size());
   for (const obs::ExecWindow& w : snapshot) {
-    fp.str(w.plan_class);
-    fp.str(w.device_class);
-    fp.u64(w.observations);
-    fp.u64(w.last_cycles);
-    fp.f64(w.ewma_cycles);
-    fp.u64(w.min_cycles);
-    fp.u64(w.max_cycles);
+    fp.mix_string(w.plan_class);
+    fp.mix_string(w.device_class);
+    fp.mix(w.observations);
+    fp.mix(w.last_cycles);
+    fp.mix(std::bit_cast<std::uint64_t>(w.ewma_cycles));
+    fp.mix(w.min_cycles);
+    fp.mix(w.max_cycles);
   }
-  return fp.hash;
+  return fp.value();
 }
 
 }  // namespace gnnerator::core

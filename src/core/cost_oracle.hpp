@@ -49,12 +49,13 @@ struct CostOracleOptions {
 ///      per (plan class, execution identity), so `last_cycles` is not a
 ///      sample but the true value; affinity placement uses it directly.
 ///
-/// Determinism contract: the oracle is mutated only at sequential event
-/// points (admission pricing, dispatch commit) in both Server::serve and
-/// Server::run_reference, in the same order — `state_fingerprint()` is
-/// byte-comparable across loops and sim_threads values. The pure helpers
-/// (`compute`, `blend`, `measured`) never mutate state, so the pipeline's
-/// fanned-out phases may call them concurrently with no loop running.
+/// Determinism contract: Server::serve mutates the oracle only at
+/// sequential event points (admission pricing, dispatch commit, affinity
+/// placement), in one fixed order — `state_fingerprint()` is identical
+/// across runs and sim_threads values, and the serving tests pin it to
+/// golden values. The pure helpers (`compute`, `blend`, `measured`) never
+/// mutate state, so the serving loop's fanned-out phases may call them
+/// concurrently with no event being processed.
 class CostOracle {
  public:
   explicit CostOracle(CostOracleOptions options = {});
@@ -72,8 +73,8 @@ class CostOracle {
 
   /// Publishes an externally computed analytic value (the pipeline's phase D
   /// prices classes in a fan-out, then primes them sequentially). Counts a
-  /// pipeline run only when the key is new — matching what the reference
-  /// loop would have computed lazily.
+  /// pipeline run only when the key is new — matching what analytic() would
+  /// have computed lazily.
   void prime(const std::string& class_key, std::uint64_t estimate);
 
   /// The unmemoized analytic estimate: compiler analysis passes at the

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace gnnerator::core {
 
@@ -92,26 +93,8 @@ void PlanCache::clear() {
   index_.clear();
 }
 
-namespace {
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (value >> (8 * i)) & 0xff;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-}  // namespace
-
 std::string graph_fingerprint(const graph::Graph& graph) {
-  Fnv1a fnv;
+  util::Fnv1a fnv;
   fnv.mix(graph.num_nodes());
   fnv.mix(graph.num_edges());
   for (const graph::Edge& e : graph.edges()) {

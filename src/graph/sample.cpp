@@ -5,27 +5,12 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/parse.hpp"
 
 namespace gnnerator::graph {
 
 namespace {
-
-/// Same FNV-1a as core::graph_fingerprint; duplicated here because graph/
-/// must not depend on core/.
-class Fnv1a {
- public:
-  void mix(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (value >> (8 * i)) & 0xff;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 std::string hex_fingerprint(std::uint64_t value) {
   std::ostringstream os;
@@ -158,7 +143,7 @@ SampledSubgraph sample_frontier(const Graph& graph, const std::vector<NodeId>& s
   sub.graph = Graph(static_cast<NodeId>(sub.vertices.size()), std::move(edges));
   sub.graph.set_coeff_in_degrees(sub.base_in_degree);
 
-  Fnv1a fnv;
+  util::Fnv1a fnv;
   fnv.mix(sub.vertices.size());
   fnv.mix(sub.graph.num_edges());
   for (const NodeId parent : sub.vertices) {
@@ -197,7 +182,7 @@ SampledSubgraph fuse_subgraphs(const std::vector<const SampledSubgraph*>& parts)
   std::vector<Edge> edges;
   edges.reserve(total_edges);
   NodeId offset = 0;
-  Fnv1a fnv;
+  util::Fnv1a fnv;
   fnv.mix(parts.size());
   for (const SampledSubgraph* part : parts) {
     // Block-diagonal concatenation: per-block vertex order is untouched and

@@ -20,9 +20,9 @@ namespace gnnerator::obs {
 ///     track (crash/recover/slow/reclass), admission track (shed/fail).
 ///
 /// Deterministic: the output is a pure function of the recorder streams, and
-/// those are identical between Server::serve and Server::run_reference for
-/// every sim_threads value — so the exported bytes are too (gated in
-/// bench/serve_obs.cpp and tests/obs_test.cpp).
+/// those are identical across runs and sim_threads values — so the exported
+/// bytes are too (pinned to golden fingerprints in bench/serve_obs.cpp and
+/// tests/obs_test.cpp).
 ///
 /// Timestamps are microseconds on the server clock (ts = cycles /
 /// (clock_ghz * 1e3)), rendered shortest-round-trip via util::json_number.

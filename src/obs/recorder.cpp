@@ -83,7 +83,7 @@ void Recorder::begin_run(RunInfo info) {
 }
 
 void Recorder::end_run(Cycle end_cycle) {
-  // Defensive: both serving loops drain every device before assembling the
+  // Defensive: the serving loop drains every device before assembling the
   // report, so no busy span should still be open here.
   for (std::size_t di = 0; di < open_busy_.size(); ++di) {
     if (open_busy_[di].has_value()) {

@@ -22,7 +22,7 @@ using Cycle = std::uint64_t;
 
 /// One point on a request's span timeline. Every phase is recorded at a
 /// sequential event point of the serving loop, so the stream is identical
-/// between Server::serve and Server::run_reference for any sim_threads.
+/// across runs and sim_threads values.
 enum class SpanPhase : std::uint8_t {
   kAdmit,     ///< admitted: record created (at == arrival cycle)
   kSample,    ///< sampled request: k-hop frontier resolved (detail = fingerprint)
@@ -133,8 +133,8 @@ struct RunInfo {
 /// counters and calibration history would.
 ///
 /// Every hook is called at a sequential event point with the DES cycle, in
-/// the same order by both serving loops — which is why exported traces are
-/// byte-identical across serve/run_reference and sim_threads values.
+/// one fixed order — which is why exported traces are byte-identical across
+/// runs and sim_threads values (pinned by golden fingerprints).
 class Recorder {
  public:
   explicit Recorder(RecorderOptions options = {});

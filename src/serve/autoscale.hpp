@@ -20,7 +20,7 @@ struct AutoscalerOptions {
   /// (queue depth alone drives scaling).
   double target_p95_ms = 0.0;
   /// Evaluation cadence: the autoscaler wakes every interval (an ordinary
-  /// DES event, so both serving loops see identical decisions).
+  /// DES event, so decisions replay identically across sim_threads values).
   double interval_ms = 0.25;
   /// Minimum time between two fleet mutations.
   double cooldown_ms = 1.0;

@@ -29,9 +29,9 @@ enum class FaultKind {
 [[nodiscard]] std::string_view fault_kind_name(FaultKind kind);
 
 /// One scheduled fault on the server's virtual clock. Fault events are
-/// ordinary discrete-event-simulation events: both serving loops process
-/// the schedule at identical points, so a fault plan never breaks the
-/// serve() == run_reference() bitwise contract.
+/// ordinary discrete-event-simulation events processed at one fixed point
+/// of the serving loop, so a faulted run is as bitwise reproducible —
+/// across runs and sim_threads values — as a healthy one.
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   /// When the event fires, in server cycles.

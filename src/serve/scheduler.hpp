@@ -77,10 +77,12 @@ struct QueuedRequest {
   /// Index of the request class (SLO tier) the admission controller
   /// resolved; routes the request inside a TieredScheduler.
   std::size_t tier = 0;
-  /// Dense id the server interned `class_key` under (Server::serve's
-  /// pipeline path; the reference loop leaves it 0). Lets per-(plan class,
-  /// device class) memo lookups be array indexing instead of string
-  /// hashing. Never consulted by scheduler policies.
+  /// Dense id the server interned the request under at admission (the
+  /// exact frontier key for sampled requests). Ids are assigned at a
+  /// sequential point, so they are identical for every sim_threads value,
+  /// as are the reports built on them (golden fingerprints pin those).
+  /// Lets per-(plan class, device class) memo lookups be array indexing
+  /// instead of string hashing. Never consulted by scheduler policies.
   std::uint32_t class_id = 0;
 };
 
@@ -102,7 +104,7 @@ struct DispatchBatch {
 /// batching-window expiry), and the event loop treats that cycle as a
 /// cross-device event it must not simulate past. A policy whose
 /// next_ready() under-reports would let the loop skip a scheduling point
-/// and diverge from the reference run; the differential matrix in
+/// and diverge from the recorded behaviour; the golden matrix in
 /// tests/serve_property_test.cpp pins this.
 class Scheduler {
  public:

@@ -2,48 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <tuple>
 #include <utility>
 
 #include "sim/trace.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 #include "util/prng.hpp"
 
 namespace gnnerator::serve {
 
 namespace {
-
-/// Same FNV-1a as core::graph_fingerprint (sampling-PRNG seeds and fused
-/// composition fingerprints must be deterministic across platforms).
-class Fnv1a {
- public:
-  void mix(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (value >> (8 * i)) & 0xff;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_string(const std::string& s) {
-    for (const char c : s) {
-      mix(static_cast<unsigned char>(c));
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-std::string hex64(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(16);
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out.push_back(kDigits[(value >> shift) & 0xf]);
-  }
-  return out;
-}
 
 /// Event cap of the sim::Tracer used for engine-span capture (one traced
 /// execution per distinct class; a truncated capture just loses tail
@@ -89,6 +57,11 @@ Server::Server(ServerOptions options)
     }
   }
   GNNERATOR_CHECK_MSG(total_devices > 0, "server needs at least one device");
+  // One exec-memo slot per device class (a single shared slot on a legacy
+  // fleet); intern_device_class appends slots for classes added later.
+  const std::size_t slots = device_classes_.empty() ? 1 : device_classes_.size();
+  results_by_id_.resize(slots);
+  estimates_by_id_.resize(slots);
 
   devices_.reserve(total_devices);
   if (device_classes_.empty()) {
@@ -147,8 +120,8 @@ std::size_t Server::intern_device_class(std::string_view name) {
   klass->count = 0;  // registry entry only; no configured workers
   klass->config.validate();
   device_classes_.push_back(std::move(*klass));
-  // Keep the pipeline's id-indexed exec-memo views in lockstep with the
-  // registry (a reclass mid-run must not index past the slot vectors).
+  // Keep the id-indexed exec-memo views in lockstep with the registry (a
+  // reclass mid-run must not index past the slot vectors).
   while (results_by_id_.size() < device_classes_.size()) {
     results_by_id_.emplace_back(plan_classes_.size());
     estimates_by_id_.emplace_back(plan_classes_.size(), kNoEstimate);
@@ -214,12 +187,6 @@ const Server::RegisteredDataset& Server::registered(const std::string& name) con
   return it->second;
 }
 
-const DeviceClass* Server::device_class(std::size_t device) const {
-  GNNERATOR_CHECK(device < devices_.size());
-  const std::size_t klass = devices_[device].klass;
-  return klass == kNoClass ? nullptr : &device_classes_[klass];
-}
-
 core::SimulationRequest Server::sim_for_device(const core::SimulationRequest& sim,
                                                const Device& device) const {
   core::SimulationRequest swapped = sim;
@@ -229,28 +196,28 @@ core::SimulationRequest Server::sim_for_device(const core::SimulationRequest& si
   return swapped;
 }
 
-std::string Server::class_key(const core::SimulationRequest& sim) const {
-  const RegisteredDataset& dataset = registered(sim.dataset);
-  if (device_classes_.empty()) {
-    return request_class_key(dataset.fingerprint, sim);
-  }
+core::SimulationRequest Server::canonical_sim(const core::SimulationRequest& sim) const {
   // Heterogeneous fleet: the canonical (first) class's config stands in for
   // the request's, so two requests are plan-compatible iff they match in
   // every config-independent dimension — the partition is the same whatever
   // fixed config is substituted.
   core::SimulationRequest canonical = sim;
-  canonical.config = device_classes_.front().config;
-  return request_class_key(dataset.fingerprint, canonical);
+  if (!device_classes_.empty()) {
+    canonical.config = device_classes_.front().config;
+  }
+  return canonical;
+}
+
+std::string Server::class_key(const core::SimulationRequest& sim) const {
+  const std::string& fingerprint = registered(sim.dataset).fingerprint;
+  // Per-arrival hot path: a legacy fleet keys the request as-is, no copy.
+  return device_classes_.empty() ? request_class_key(fingerprint, sim)
+                                 : request_class_key(fingerprint, canonical_sim(sim));
 }
 
 std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim) {
   const RegisteredDataset& dataset = registered(sim.dataset);
-  if (device_classes_.empty()) {
-    return cost_oracle_.analytic(*dataset.dataset, sim,
-                                 request_class_key(dataset.fingerprint, sim));
-  }
-  core::SimulationRequest canonical = sim;
-  canonical.config = device_classes_.front().config;
+  const core::SimulationRequest canonical = canonical_sim(sim);
   return cost_oracle_.analytic(*dataset.dataset, canonical,
                                request_class_key(dataset.fingerprint, canonical));
 }
@@ -309,46 +276,32 @@ std::uint64_t Server::calibrated_device_cost_estimate(const core::SimulationRequ
   return device_cost_estimate(sim, device_index);
 }
 
-std::uint64_t Server::device_class_cycles(const QueuedRequest& queued,
-                                          std::size_t device_index) {
-  const Device& device = devices_[device_index];
-  // Legacy devices all estimate under the request's own config, so they
-  // share one memo slot ("L").
-  std::string memo_key =
-      device.klass == kNoClass ? std::string("L") : std::to_string(device.klass);
-  memo_key += '|';
-  // Sampled requests memo under their exact (per-frontier) key: requests in
-  // one fuse class still differ in subgraph shape, hence in cost.
-  memo_key += queued.sampled != nullptr ? queued.sampled->exact_key : queued.class_key;
-  const auto it = device_estimates_.find(memo_key);
-  if (it != device_estimates_.end()) {
-    return it->second;
+std::uint64_t Server::device_class_cycles(const QueuedRequest& queued, const Device& device) {
+  // Indexed by the request's interned id: sampled requests intern per exact
+  // (per-frontier) key, since requests in one fuse class still differ in
+  // subgraph shape, hence in cost.
+  std::uint64_t& device_cycles = estimates_by_id_[exec_slot(device)][queued.class_id];
+  if (device_cycles != kNoEstimate) {
+    return device_cycles;
   }
   const core::SimulationRequest swapped = sim_for_device(queued.request.sim, device);
-  std::uint64_t device_cycles = 0;
+  const RegisteredDataset& base = registered(queued.request.sim.dataset);
   if (queued.sampled != nullptr) {
-    const RegisteredDataset& base = registered(queued.request.sim.dataset);
     const std::string key = request_class_key(
         base.fingerprint + "~s" + queued.sampled->frontier->fingerprint, swapped);
     device_cycles = cost_oracle_.analytic(*queued.sampled->dataset, swapped, key);
   } else {
-    const RegisteredDataset& dataset = registered(queued.request.sim.dataset);
-    const std::string key = request_class_key(dataset.fingerprint, swapped);
-    device_cycles = cost_oracle_.analytic(*dataset.dataset, swapped, key);
+    device_cycles = cost_oracle_.analytic(*base.dataset, swapped, exec_key(queued, device));
   }
-  device_estimates_.emplace(std::move(memo_key), device_cycles);
   return device_cycles;
 }
 
-std::uint64_t Server::queued_cost_estimate(const QueuedRequest& queued,
-                                           std::size_t device_index) {
-  const Device& device = devices_[device_index];
-  return to_server_cycles(device, device_class_cycles(queued, device_index)) +
-         options_.per_request_overhead;
-}
-
-Cycle Server::placement_estimate(const QueuedRequest& queued, const Device& device,
-                                 std::uint64_t analytic_estimate) {
+Cycle Server::placement_estimate(const QueuedRequest& queued, const Device& device) {
+  // Priced even when a measurement wins below: the analytic memo entry is
+  // part of the oracle state (CostOracle::state_fingerprint).
+  const Cycle analytic_estimate =
+      to_server_cycles(device, device_class_cycles(queued, device)) +
+      options_.per_request_overhead;
   if (queued.sampled != nullptr) {
     // Sampled requests execute as fused compositions; the per-composition
     // windows say nothing exact about one frontier, so placement stays on
@@ -391,7 +344,7 @@ std::uint64_t Server::wfq_charge_cost(const DispatchBatch& batch, const Device& 
       // composition has no per-request measured counterpart.
       per_request = q.cost_estimate;
     } else {
-      const std::uint64_t raw = device_class_cycles(q, device_index(device));
+      const std::uint64_t raw = device_class_cycles(q, device);
       per_request = cost_oracle_.blend(raw, q.class_key, exec_key(q, device));
     }
     cost += std::max<std::uint64_t>(per_request, 1);
@@ -440,10 +393,14 @@ std::shared_ptr<const SampledQuery> Server::make_sampled_query(const Request& re
   // The sampling PRNG is a pure function of (dataset, seed vertex, canonical
   // fanout): two requests for the same seed draw the identical subgraph, so
   // they share one memo entry, one cost estimate, and one frontier block
-  // inside a fused batch — the determinism contract sampled replays and
-  // cross-loop differentials rest on.
-  Fnv1a fnv;
-  fnv.mix_string(base.fingerprint);
+  // inside a fused batch — the determinism contract sampled replays rest
+  // on.
+  util::Fnv1a fnv;
+  // Each character mixed as a 64-bit word: the seed derivation every pinned
+  // sampled fingerprint was recorded with.
+  for (const char c : base.fingerprint) {
+    fnv.mix(static_cast<unsigned char>(c));
+  }
   fnv.mix(static_cast<std::uint64_t>(request.seed));
   for (const std::uint32_t f : fanout.per_hop) {
     fnv.mix(f);
@@ -456,10 +413,7 @@ std::shared_ptr<const SampledQuery> Server::make_sampled_query(const Request& re
   query->dataset = std::make_shared<const graph::Dataset>(
       graph::subgraph_dataset(*base.dataset, *query->frontier));
 
-  core::SimulationRequest canonical = request.sim;
-  if (!device_classes_.empty()) {
-    canonical.config = device_classes_.front().config;
-  }
+  const core::SimulationRequest canonical = canonical_sim(request.sim);
   // The fuse key replaces the dataset fingerprint with (base ~f fanout):
   // seed-independent, so distinct frontiers of one (dataset, fanout, model,
   // config, dataflow) class batch together. The exact key embeds the
@@ -468,16 +422,6 @@ std::shared_ptr<const SampledQuery> Server::make_sampled_query(const Request& re
       request_class_key(base.fingerprint + "~f" + fanout.canonical(), canonical);
   query->exact_key =
       request_class_key(base.fingerprint + "~s" + query->frontier->fingerprint, canonical);
-  return query;
-}
-
-std::shared_ptr<const SampledQuery> Server::sampled_for(const Request& request) {
-  std::string key = sampled_memo_key(request);
-  if (const auto it = sample_memo_.find(key); it != sample_memo_.end()) {
-    return it->second;
-  }
-  std::shared_ptr<const SampledQuery> query = make_sampled_query(request);
-  sample_memo_.emplace(std::move(key), query);
   return query;
 }
 
@@ -490,15 +434,6 @@ std::shared_ptr<const SampledQuery> Server::publish_sampled(
     std::string memo_key, std::shared_ptr<const SampledQuery> query) {
   const auto [it, inserted] = sample_memo_.try_emplace(std::move(memo_key), std::move(query));
   return it->second;
-}
-
-std::uint64_t Server::sampled_cost_estimate(const Request& request,
-                                            const SampledQuery& sampled) {
-  core::SimulationRequest canonical = request.sim;
-  if (!device_classes_.empty()) {
-    canonical.config = device_classes_.front().config;
-  }
-  return cost_oracle_.analytic(*sampled.dataset, canonical, sampled.exact_key);
 }
 
 std::vector<const SampledQuery*> Server::sampled_composition(const DispatchBatch& batch) {
@@ -517,7 +452,7 @@ std::vector<const SampledQuery*> Server::sampled_composition(const DispatchBatch
 }
 
 std::string Server::sampled_exec_key(const Device& device, const DispatchBatch& batch) const {
-  Fnv1a fnv;
+  util::Fnv1a fnv;
   const std::vector<const SampledQuery*> parts = sampled_composition(batch);
   fnv.mix(parts.size());
   for (const SampledQuery* p : parts) {
@@ -528,7 +463,7 @@ std::string Server::sampled_exec_key(const Device& device, const DispatchBatch& 
   key += '|';
   key += batch.requests.front().class_key;  // the fuse class
   key += '|';
-  key += hex64(fnv.value());
+  key += util::hex64(fnv.value());
   return key;
 }
 
@@ -580,7 +515,7 @@ FeatureCache* Server::feature_cache_for(const QueuedRequest& queued) {
   auto it = feature_caches_.find(name);
   if (it == feature_caches_.end()) {
     // Lazy build at the first sampled dispatch against this dataset — a
-    // deterministic sequential point in both loops — under the triggering
+    // deterministic sequential point — under the triggering
     // request's fanout and the fleet's canonical DRAM model (the request's
     // own on a legacy fleet).
     const RegisteredDataset& base = registered(name);
@@ -663,28 +598,34 @@ std::shared_ptr<const core::ExecutionResult> Server::sampled_result_for(
 }
 
 void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
-  std::vector<const QueuedRequest*> missing;
-  std::vector<const std::string*> missing_keys;
+  auto& slot = results_by_id_[exec_slot(device)];
+  std::vector<std::uint32_t> missing_cids;
+  std::vector<const QueuedRequest*> missing_reps;
   for (const QueuedRequest& q : batch.requests) {
-    const std::string& key = exec_key(q, device);
-    if (class_results_.contains(key)) {
+    if (slot[q.class_id] != nullptr) {
       continue;
     }
-    const bool queued = std::any_of(missing_keys.begin(), missing_keys.end(),
-                                    [&](const std::string* k) { return *k == key; });
-    if (!queued) {
-      missing.push_back(&q);
-      missing_keys.push_back(&key);
+    // Identically configured device classes share an execution identity:
+    // adopt a result another slot already paid for.
+    const std::string& key = exec_key(q, device);
+    if (const auto it = class_results_.find(key); it != class_results_.end()) {
+      slot[q.class_id] = it->second;
+      continue;
+    }
+    if (std::find(missing_cids.begin(), missing_cids.end(), q.class_id) ==
+        missing_cids.end()) {
+      missing_cids.push_back(q.class_id);
+      missing_reps.push_back(&q);
     }
   }
-  if (missing.empty()) {
+  if (missing_cids.empty()) {
     return;
   }
   // One run_batch per dispatch covers every distinct class the batch needs;
   // the shared plan cache means at most one compile across the whole fleet.
   std::vector<core::SimulationRequest> sims;
-  sims.reserve(missing.size());
-  for (const QueuedRequest* q : missing) {
+  sims.reserve(missing_reps.size());
+  for (const QueuedRequest* q : missing_reps) {
     sims.push_back(sim_for_device(q->request.sim, device));
   }
   std::vector<core::ExecutionResult> results;
@@ -694,12 +635,12 @@ void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
     // serially anyway), memoizing each class's window template.
     results.reserve(sims.size());
     for (std::size_t i = 0; i < sims.size(); ++i) {
-      results.push_back(obs_traced_run(device, sims[i], *missing_keys[i]));
+      results.push_back(obs_traced_run(device, sims[i], exec_key(*missing_reps[i], device)));
     }
   } else {
     results = device.engine->run_batch(sims);
   }
-  for (std::size_t i = 0; i < missing.size(); ++i) {
+  for (std::size_t i = 0; i < missing_cids.size(); ++i) {
     if (!options_.collect_results) {
       // The memo only has to answer "how many cycles does this class
       // occupy a device for"; without collect_results, dropping the
@@ -707,28 +648,27 @@ void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
       // [V x out_dim] tensor per class forever.
       results[i].output.reset();
     }
-    class_results_.emplace(*missing_keys[i], std::make_shared<const core::ExecutionResult>(
-                                                 std::move(results[i])));
+    auto shared = std::make_shared<const core::ExecutionResult>(std::move(results[i]));
+    class_results_.emplace(exec_key(*missing_reps[i], device), shared);
+    slot[missing_cids[i]] = std::move(shared);
   }
 }
 
-Cycle Server::batch_service_cycles(Device& device, const DispatchBatch& batch) {
+Cycle Server::batch_service_cycles(const Device& device, const DispatchBatch& batch) const {
   // One accelerator execution per distinct class (coalesced requests share
   // it), plus the per-request dispatch/response overhead. Device cycles are
   // converted onto the server timeline through the class clock.
+  const auto& slot = results_by_id_[exec_slot(device)];
   std::uint64_t device_cycles = 0;
-  std::vector<const std::string*> seen;
+  std::vector<std::uint32_t> seen;
+  seen.reserve(batch.requests.size());
   for (const QueuedRequest& q : batch.requests) {
-    const std::string& key = exec_key(q, device);
-    const bool counted = std::any_of(seen.begin(), seen.end(),
-                                     [&](const std::string* k) { return *k == key; });
-    if (counted) {
+    if (std::find(seen.begin(), seen.end(), q.class_id) != seen.end()) {
       continue;
     }
-    seen.push_back(&key);
-    const auto it = class_results_.find(key);
-    GNNERATOR_CHECK_MSG(it != class_results_.end(), "class result missing at dispatch");
-    device_cycles += it->second->cycles;
+    seen.push_back(q.class_id);
+    GNNERATOR_CHECK_MSG(slot[q.class_id] != nullptr, "class result missing at dispatch");
+    device_cycles += slot[q.class_id]->cycles;
   }
   return scaled_service(device,
                         to_server_cycles(device, device_cycles) +
@@ -840,7 +780,7 @@ void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now)
   // Measured execution windows (cost-oracle feed) and, when captured, the
   // engine compute sub-spans — one entry per distinct class in the batch,
   // anchored back-to-back at `now` exactly as the service-time sum prices
-  // them. All lookups hit memos both loops warmed at the same points.
+  // them. All lookups hit memos warmed by the dispatch that called this.
   std::vector<obs::EngineWindow> windows;
   if (opts.exec_windows || (opts.engine_spans && opts.device_timeline)) {
     const std::string& dclass = obs_device_class_name(device);
@@ -1046,161 +986,6 @@ void Server::set_device_health(Device& device, DeviceHealth health, Cycle now) {
   device.health = health;
 }
 
-Server::ElasticRun Server::make_elastic_run() const {
-  ElasticRun er;
-  er.enabled = !options_.faults.empty() || options_.autoscale.has_value();
-  if (options_.autoscale.has_value()) {
-    er.autoscaler.emplace(*options_.autoscale, options_.clock_ghz);
-  }
-  return er;
-}
-
-Cycle Server::elastic_next_event(const ElasticRun& er) const {
-  if (!er.enabled) {
-    return kNoDeadline;
-  }
-  Cycle next = kNoDeadline;
-  if (er.fault_cursor < options_.faults.events.size()) {
-    next = std::min(next, options_.faults.events[er.fault_cursor].at);
-  }
-  if (!er.requeues.empty()) {
-    next = std::min(next, er.requeues.top().at);
-  }
-  if (er.autoscaler.has_value()) {
-    next = std::min(next, er.autoscaler->next_tick());
-  }
-  return next;
-}
-
-void Server::elastic_on_complete(ElasticRun& er, const Outcome& outcome) const {
-  if (er.autoscaler.has_value()) {
-    er.autoscaler->observe(outcome.latency_ms(options_.clock_ghz));
-  }
-}
-
-void Server::abort_inflight(ElasticRun& er, Device& device, Cycle now,
-                            std::vector<Outcome>& records, const FeedBack& feed_back) {
-  if (!device.inflight_reqs.empty()) {
-    GNNERATOR_CHECK_MSG(device.busy_until >= now, "aborting an already-completed batch");
-    // Refund the unserved remainder: the device was only busy until the
-    // crash, not until the batch's scheduled completion.
-    device.stats.busy_cycles -= device.busy_until - now;
-    device.stats.aborted += static_cast<std::uint64_t>(device.inflight_reqs.size());
-    const std::uint32_t di = device_index(device);
-    if (obs_ != nullptr) {
-      obs_->close_busy(di, now, /*aborted=*/true);
-    }
-    for (QueuedRequest& q : device.inflight_reqs) {
-      Outcome& record = records[q.request.id];
-      // Strip the dispatch stamps: the record reverts to "admitted, not yet
-      // served" (identical in both loops — the reference loop never stamped
-      // its records before completion).
-      record.dispatch = 0;
-      record.device = 0;
-      record.batch_size = 1;
-      record.service_cycles = 0;
-      record.result.reset();
-      ++record.retries;
-      const Cycle backoff = options_.retry_backoff
-                            << std::min<std::uint32_t>(record.retries - 1, 20);
-      const Cycle ready = now + backoff;
-      bool fail = record.retries > options_.retry_budget;
-      if (!fail && record.applied_slo_ms > 0.0) {
-        const Cycle deadline =
-            record.arrival + ms_to_cycles(record.applied_slo_ms, options_.clock_ghz);
-        fail = ready > deadline;  // the backoff alone already misses the SLO
-      }
-      if (obs_ != nullptr) {
-        obs::SpanEvent ev;
-        ev.request = record.id;
-        ev.at = now;
-        ev.phase = obs::SpanPhase::kAbort;
-        ev.device = di;
-        ev.value = record.retries;
-        obs_->request_event(std::move(ev));
-      }
-      if (fail) {
-        record.failed = true;
-        record.dispatch = now;
-        record.completion = now;
-        obs_terminal(record, now);
-        feed_back(record);
-      } else {
-        ++record.requeues;
-        if (obs_ != nullptr) {
-          obs::SpanEvent ev;
-          ev.request = record.id;
-          ev.at = now;
-          ev.phase = obs::SpanPhase::kRequeue;
-          ev.device = di;
-          ev.value = ready;
-          obs_->request_event(std::move(ev));
-        }
-        er.requeues.push(ElasticRun::Requeue{ready, er.requeue_seq++, std::move(q)});
-      }
-    }
-  }
-  device.inflight.clear();
-  device.inflight_ids.clear();
-  device.inflight_reqs.clear();
-  device.busy_until = 0;
-}
-
-void Server::apply_fault_event(ElasticRun& er, const FaultEvent& event, Cycle now,
-                               std::vector<Outcome>& records, const FeedBack& feed_back) {
-  GNNERATOR_CHECK_MSG(event.device < devices_.size(),
-                      "fault plan targets dev" << event.device << " but the fleet has "
-                                               << devices_.size() << " devices");
-  Device& device = devices_[event.device];
-  if (obs_ != nullptr) {
-    obs::Mark m;
-    m.at = now;
-    m.device = static_cast<std::uint32_t>(event.device);
-    switch (event.kind) {
-      case FaultKind::kCrash:
-        m.kind = obs::MarkKind::kCrash;
-        break;
-      case FaultKind::kRecover:
-        m.kind = obs::MarkKind::kRecover;
-        break;
-      case FaultKind::kSlow:
-        m.kind = obs::MarkKind::kSlow;
-        m.value = static_cast<std::uint64_t>(std::llround(event.factor * 1000.0));
-        break;
-      case FaultKind::kReclass:
-        m.kind = obs::MarkKind::kReclass;
-        m.detail = event.klass;
-        break;
-    }
-    obs_->mark(std::move(m));
-  }
-  switch (event.kind) {
-    case FaultKind::kCrash:
-      device.stats.crashes += 1;
-      abort_inflight(er, device, now, records, feed_back);
-      set_device_health(device, DeviceHealth::kCrashed, now);
-      break;
-    case FaultKind::kRecover:
-      device.slow_factor = 1.0;
-      // Only crashes heal; a removed (scaled-down) device stays with the
-      // autoscaler.
-      if (device.health == DeviceHealth::kCrashed) {
-        set_device_health(device, DeviceHealth::kActive, now);
-      }
-      break;
-    case FaultKind::kSlow:
-      device.slow_factor = event.factor;
-      break;
-    case FaultKind::kReclass:
-      GNNERATOR_CHECK_MSG(!device_classes_.empty(),
-                          "reclass faults need a classed fleet (ServerOptions::fleet)");
-      // The in-flight batch (if any) completes under its dispatch-time
-      // timing; only subsequent dispatches see the new class.
-      device.klass = intern_device_class(event.klass);
-      break;
-  }
-}
-
 bool Server::scale_up(Cycle now) {
   for (std::size_t di = 0; di < devices_.size(); ++di) {
     Device& device = devices_[di];
@@ -1235,452 +1020,6 @@ bool Server::scale_down(Cycle now) {
     }
   }
   return false;  // every active device is mid-batch; decision lapses
-}
-
-void Server::elastic_process(ElasticRun& er, Cycle now, Scheduler& scheduler,
-                             std::vector<Outcome>& records, const FeedBack& feed_back) {
-  if (!er.enabled) {
-    return;
-  }
-  while (er.fault_cursor < options_.faults.events.size() &&
-         options_.faults.events[er.fault_cursor].at <= now) {
-    apply_fault_event(er, options_.faults.events[er.fault_cursor], now, records, feed_back);
-    ++er.fault_cursor;
-  }
-  while (!er.requeues.empty() && er.requeues.top().at <= now) {
-    // priority_queue::top is const; the element is discarded by pop.
-    QueuedRequest q = std::move(const_cast<ElasticRun::Requeue&>(er.requeues.top()).request);
-    er.requeues.pop();
-    if (obs_ != nullptr) {
-      obs::SpanEvent ev;
-      ev.request = q.request.id;
-      ev.at = now;
-      ev.phase = obs::SpanPhase::kResume;
-      obs_->request_event(std::move(ev));
-    }
-    // Requeues bypass the admission queue bound: the request was already
-    // admitted once and owns a record.
-    scheduler.enqueue(std::move(q), now);
-  }
-  if (er.autoscaler.has_value() && er.autoscaler->next_tick() <= now) {
-    std::size_t active = 0;
-    for (const Device& device : devices_) {
-      active += device.health == DeviceHealth::kActive ? 1 : 0;
-    }
-    const Autoscaler::Action action =
-        er.autoscaler->evaluate(now, scheduler.depth(), active, scheduler.queued_cost());
-    if (action == Autoscaler::Action::kUp && scale_up(now)) {
-      ++er.scale_ups;
-    } else if (action == Autoscaler::Action::kDown && scale_down(now)) {
-      ++er.scale_downs;
-    }
-  }
-}
-
-ServeReport Server::run_reference(WorkloadSource& workload) {
-  obs_begin_run();
-  const std::unique_ptr<Scheduler> scheduler =
-      make_scheduler(options_.policy, options_.limits, request_classes_);
-
-  struct PendingArrival {
-    Cycle at = 0;
-    std::uint64_t seq = 0;  ///< emission order: total tie-break at equal cycles
-    Request request;
-  };
-  const auto later = [](const PendingArrival& a, const PendingArrival& b) {
-    return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
-  };
-  std::priority_queue<PendingArrival, std::vector<PendingArrival>, decltype(later)> arrivals(
-      later);
-  std::uint64_t seq = 0;
-  for (Request& request : workload.initial_arrivals()) {
-    const Cycle at = request.arrival;
-    arrivals.push(PendingArrival{at, seq++, std::move(request)});
-  }
-
-  std::vector<Outcome> records;
-  util::RunningStats depth_stats;
-  std::size_t max_depth = 0;
-  Cycle now = 0;
-  std::uint64_t events = 0;
-  ElasticRun er = make_elastic_run();
-
-  const FeedBack feed_back = [&](const Outcome& outcome) {
-    for (Request& request : workload.on_outcome(outcome)) {
-      const Cycle at = std::max(request.arrival, now);
-      arrivals.push(PendingArrival{at, seq++, std::move(request)});
-    }
-  };
-  const auto admit = [&](Request request) {
-    GNNERATOR_CHECK_MSG(!request.sim.dataset.empty(), "serve request needs a dataset id");
-    GNNERATOR_CHECK_MSG(!request.sim.model.layers.empty(), "serve request needs a model");
-
-    std::size_t tier = 0;
-    if (!request.klass.empty()) {
-      tier = request_classes_.size();
-      for (std::size_t t = 0; t < request_classes_.size(); ++t) {
-        if (request_classes_[t].name == request.klass) {
-          tier = t;
-          break;
-        }
-      }
-      GNNERATOR_CHECK_MSG(tier < request_classes_.size(),
-                          "request names unknown class '" << request.klass << "'");
-    }
-    const RequestClass& klass = request_classes_[tier];
-
-    request.id = static_cast<std::uint64_t>(records.size());
-    QueuedRequest queued;
-    queued.tier = tier;
-    if (request.is_sampled()) {
-      // Sampling stage: draw (or reuse) the request's k-hop frontier before
-      // any compile/cost decision. The fuse key is the batching class, so
-      // distinct frontiers of one (dataset, fanout, model, config, dataflow)
-      // class coalesce into mixed batches downstream.
-      queued.sampled = sampled_for(request);
-      queued.class_key = queued.sampled->fuse_key;
-      queued.cost_estimate = sampled_cost_estimate(request, *queued.sampled);
-    } else {
-      queued.class_key = class_key(request.sim);
-      // Blend at admission — a sequential event point in both serving
-      // loops, so the oracle state consulted here is identical whichever
-      // loop runs. (Sampled requests stay analytic: fused-composition
-      // windows are not per-frontier measurements.)
-      queued.cost_estimate = blended_cost(cost_estimate(request.sim), queued.class_key);
-    }
-
-    Outcome record;
-    record.id = request.id;
-    record.arrival = request.arrival;
-    record.class_key = queued.class_key;
-    record.klass = klass.name;
-    record.applied_slo_ms = request.slo_ms > 0.0   ? request.slo_ms
-                            : klass.slo_ms > 0.0   ? klass.slo_ms
-                                                   : options_.default_slo_ms;
-    records.push_back(record);
-    obs_admit(records.back(), tier, queued.sampled.get());
-
-    if (options_.queue_capacity > 0 && scheduler->depth() >= options_.queue_capacity) {
-      Outcome& shed = records.back();
-      shed.shed = true;
-      shed.dispatch = now;
-      shed.completion = now;
-      obs_terminal(shed, now);
-      feed_back(shed);
-      return;
-    }
-    queued.request = std::move(request);
-    scheduler->enqueue(std::move(queued), now);
-  };
-
-  /// SLO admission control + device occupation for one popped batch on one
-  /// device. A request whose batch would complete past its deadline is shed
-  /// *before* occupying the device; shedding shrinks the batch (and
-  /// possibly its class set), which can rescue the rest — iterate to the
-  /// fixpoint. Returns true when the device was occupied (the batch was
-  /// not fully shed).
-  const auto dispatch_batch_to = [&](Device& device, std::uint32_t di, DispatchBatch batch) {
-    const bool sampled =
-        !batch.requests.empty() && batch.requests.front().sampled != nullptr;
-    while (!batch.requests.empty()) {
-      if (sampled) {
-        ensure_sampled_results(device, batch);
-      } else {
-        ensure_class_results(device, batch);
-      }
-      const Cycle service = sampled ? sampled_batch_service(device, batch)
-                                    : batch_service_cycles(device, batch);
-      const std::size_t before = batch.requests.size();
-      std::erase_if(batch.requests, [&](const QueuedRequest& queued) {
-        const double slo_ms = records[queued.request.id].applied_slo_ms;
-        if (slo_ms <= 0.0) {
-          return false;
-        }
-        const Cycle deadline =
-            queued.request.arrival + ms_to_cycles(slo_ms, options_.clock_ghz);
-        if (now + service <= deadline) {
-          return false;
-        }
-        Outcome& record = records[queued.request.id];
-        // A fault-retried request that runs out of SLO is a failure, not a
-        // shed: the system took it on and lost it.
-        if (record.retries > 0) {
-          record.failed = true;
-        } else {
-          record.shed = true;
-        }
-        record.dispatch = now;
-        record.completion = now;
-        obs_terminal(record, now);
-        feed_back(record);
-        return true;
-      });
-      if (batch.requests.size() == before) {
-        break;
-      }
-    }
-    if (batch.requests.empty()) {
-      return false;
-    }
-
-    const Cycle service = sampled ? sampled_batch_service(device, batch)
-                                  : batch_service_cycles(device, batch);
-    if (sampled) {
-      // The batch is committed to the device: apply the feature-cache LRU
-      // effects once, at this sequential point, in both serving loops.
-      commit_sampled_gather(batch);
-    }
-    obs_dispatch(device, batch, now);
-    oracle_observe_dispatch(device, batch);
-    if (request_classes_.size() > 1) {
-      // WFQ accounting at dispatch commit: charge the tier with the cost of
-      // the device class that actually executes the batch, not the
-      // canonical-class estimate it was queued with.
-      scheduler->charge(batch.requests.front().tier, wfq_charge_cost(batch, device));
-    }
-    for (const QueuedRequest& queued : batch.requests) {
-      Outcome outcome = records[queued.request.id];
-      outcome.dispatch = now;
-      outcome.device = di;
-      outcome.batch_size = static_cast<std::uint32_t>(batch.requests.size());
-      outcome.service_cycles = service;
-      if (options_.collect_results) {
-        outcome.result = sampled ? sampled_result_for(queued, device, batch)
-                                 : class_results_.at(exec_key(queued, device));
-      }
-      device.inflight.push_back(std::move(outcome));
-    }
-    device.inflight_reqs = std::move(batch.requests);
-    device.busy_until = now + service;
-    device.stats.busy_cycles += service;
-    device.stats.batches += 1;
-    device.stats.requests += static_cast<std::uint64_t>(device.inflight_reqs.size());
-    return true;
-  };
-
-  /// Affinity-aware (HEFT) dispatch: scan dispatchable requests in policy
-  /// order and place each on the device with the earliest estimated finish
-  /// time (cost model under each device class's config). A request whose
-  /// best device is busy is *held* — its preferred device finishing is a
-  /// completion event, so the hold always resolves without extra wake-ups.
-  /// Each placement changes busy states, so rescan until a full pass
-  /// places nothing.
-  const auto dispatch_affinity = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const QueuedRequest* q : scheduler->ready(now)) {
-        std::size_t best = devices_.size();
-        Cycle best_eft = kNoDeadline;
-        bool best_busy = true;
-        for (std::size_t di = 0; di < devices_.size(); ++di) {
-          const Device& device = devices_[di];
-          if (device.health != DeviceHealth::kActive) {
-            continue;  // crashed / scaled-out devices take no placements
-          }
-          const bool busy = !device.inflight.empty();
-          const Cycle start = busy ? device.busy_until : now;
-          const Cycle eft = start + placement_estimate(*q, device, queued_cost_estimate(*q, di));
-          // Total order: earliest finish, then idle before busy, then the
-          // lower device index (the scan order).
-          if (best == devices_.size() || eft < best_eft ||
-              (eft == best_eft && !busy && best_busy)) {
-            best = di;
-            best_eft = eft;
-            best_busy = busy;
-          }
-        }
-        if (best_busy) {
-          continue;  // held for a busy device
-        }
-        std::optional<QueuedRequest> taken = scheduler->try_take(q->request.id);
-        GNNERATOR_CHECK_MSG(taken.has_value(), "affinity scheduler lost a ready request");
-        DispatchBatch batch;
-        batch.requests.push_back(std::move(*taken));
-        (void)dispatch_batch_to(devices_[best], static_cast<std::uint32_t>(best),
-                                std::move(batch));
-        progress = true;
-        break;  // the ready view is invalidated; rescan
-      }
-    }
-  };
-
-  while (true) {
-    // ---- Next event: earliest of (batch completion, arrival, scheduler
-    // window expiry — only meaningful while an active device is idle,
-    // elastic event — only meaningful while work is pending). -------------
-    Cycle next = kNoDeadline;
-    bool any_idle = false;
-    for (const Device& device : devices_) {
-      if (!device.inflight.empty()) {
-        next = std::min(next, device.busy_until);
-      } else if (device.health == DeviceHealth::kActive) {
-        any_idle = true;
-      }
-    }
-    if (!arrivals.empty()) {
-      next = std::min(next, arrivals.top().at);
-    }
-    if (any_idle) {
-      next = std::min(next, scheduler->next_ready(now));
-    }
-    // Elastic events (faults, requeue releases, autoscaler ticks) only
-    // matter while there is work for them to act on: gating them on
-    // work_pending is what terminates a run with a longer fault schedule
-    // than workload, while a pending recover/scale-up still wakes the loop
-    // for queued work no current device can take.
-    const bool work_pending =
-        next != kNoDeadline || scheduler->depth() > 0 || !er.requeues.empty();
-    if (work_pending) {
-      next = std::min(next, elastic_next_event(er));
-    }
-    if (next == kNoDeadline) {
-      if (scheduler->depth() == 0) {
-        break;
-      }
-      // Terminal starvation: queued work, but no active device and nothing
-      // left (no recover event, no autoscaler) to ever revive capacity.
-      // Fail the stranded queue at the scheduler's own release point and
-      // keep looping — failure feedback may reissue closed-loop arrivals.
-      const Cycle ready_at = scheduler->next_ready(now);
-      if (ready_at != kNoDeadline && ready_at > now) {
-        now = ready_at;
-      }
-      ++events;
-      const std::size_t before = scheduler->depth();
-      while (std::optional<DispatchBatch> popped = scheduler->pop(now)) {
-        for (QueuedRequest& q : popped->requests) {
-          Outcome& record = records[q.request.id];
-          record.failed = true;
-          record.dispatch = now;
-          record.completion = now;
-          obs_terminal(record, now);
-          feed_back(record);
-        }
-      }
-      GNNERATOR_CHECK_MSG(scheduler->depth() < before,
-                          "serve loop stalled with queued work");
-      continue;
-    }
-    GNNERATOR_CHECK_MSG(next >= now, "serve event loop time went backwards");
-    now = next;
-    ++events;
-
-    // ---- Completions (device-index order). ------------------------------
-    for (Device& device : devices_) {
-      if (device.inflight.empty() || device.busy_until != now) {
-        continue;
-      }
-      obs_device_complete(device, now);
-      for (Outcome& outcome : device.inflight) {
-        outcome.completion = now;
-        records[outcome.id] = outcome;
-        obs_complete(records[outcome.id], now);
-        elastic_on_complete(er, records[outcome.id]);
-        feed_back(records[outcome.id]);
-      }
-      device.inflight.clear();
-      device.inflight_reqs.clear();
-    }
-
-    // ---- Elastic events due at `now` (before arrivals: a crashed or
-    // scaled fleet is what admission and dispatch must see). ---------------
-    elastic_process(er, now, *scheduler, records, feed_back);
-
-    // ---- Arrivals at `now` (emission order). -----------------------------
-    while (!arrivals.empty() && arrivals.top().at == now) {
-      // priority_queue::top is const; the element is discarded by pop.
-      Request request = std::move(const_cast<PendingArrival&>(arrivals.top()).request);
-      request.arrival = arrivals.top().at;
-      arrivals.pop();
-      admit(std::move(request));
-    }
-
-    // ---- Dispatch (device-index order; affinity places jointly). ---------
-    if (options_.policy == SchedulingPolicy::kAffinity) {
-      dispatch_affinity();
-    } else {
-      for (std::uint32_t di = 0; di < devices_.size(); ++di) {
-        Device& device = devices_[di];
-        if (device.health != DeviceHealth::kActive) {
-          continue;
-        }
-        while (device.inflight.empty()) {
-          std::optional<DispatchBatch> popped = scheduler->pop(now);
-          if (!popped) {
-            break;
-          }
-          if (dispatch_batch_to(device, di, std::move(*popped))) {
-            break;  // device occupied; move to the next device
-          }
-          // fully shed: try the next batch for this device
-        }
-      }
-    }
-
-    depth_stats.add(static_cast<double>(scheduler->depth()));
-    max_depth = std::max(max_depth, scheduler->depth());
-  }
-  GNNERATOR_CHECK_MSG(scheduler->depth() == 0, "serve loop ended with queued work");
-
-  return assemble_report(std::move(records), now, depth_stats, max_depth, events, er,
-                         nullptr);
-}
-
-ServeReport Server::assemble_report(std::vector<Outcome>&& records, Cycle now,
-                                    const util::RunningStats& depth_stats,
-                                    std::size_t max_depth, std::uint64_t events,
-                                    const ElasticRun& er, util::ThreadPool* pool) {
-  ServeReport report;
-  report.end_cycle = now;
-  report.clock_ghz = options_.clock_ghz;
-  report.events = events;
-  report.scale_ups = er.scale_ups;
-  report.scale_downs = er.scale_downs;
-  Metrics metrics(options_.clock_ghz);
-  metrics.add_all(records, pool);
-  report.metrics = metrics.summary(now);
-  report.outcomes = std::move(records);
-  report.devices.reserve(devices_.size());
-  for (Device& device : devices_) {
-    if (obs_ != nullptr && device.health != DeviceHealth::kActive) {
-      // Devices ending the run crashed / scaled out close their trailing
-      // health interval here (active time needs no span — busy spans and
-      // the run bounds cover it).
-      obs_->health_span(device_index(device),
-                        device.health == DeviceHealth::kCrashed
-                            ? obs::DeviceSpanKind::kCrashed
-                            : obs::DeviceSpanKind::kParked,
-                        device.health_since, now);
-    }
-    flush_device_accounting(device, now);
-    device.stats.klass = device.klass == kNoClass ? "" : device_classes_[device.klass].name;
-    report.devices.push_back(device.stats);
-    // Reset for the next serve() run: stats restart, and the fleet reverts
-    // to its configured baseline (in-run fault/autoscaler mutations are
-    // per-run; public add/remove/reclass_device set the baselines).
-    device.stats = DeviceStats{};
-    device.busy_until = 0;
-    device.health = device.baseline_health;
-    device.klass = device.baseline_klass;
-    device.slow_factor = 1.0;
-    device.health_since = 0;
-    device.inflight.clear();
-    device.inflight_ids.clear();
-    device.inflight_reqs.clear();
-  }
-  std::erase_if(devices_, [](const Device& device) { return device.ephemeral; });
-  report.plan_cache = plan_cache_->stats();
-  report.feature_cache_enabled = options_.feature_cache.has_value();
-  for (const auto& [name, cache] : feature_caches_) {
-    report.feature_cache.merge(cache.stats());
-  }
-  report.mean_queue_depth = depth_stats.count() > 0 ? depth_stats.mean() : 0.0;
-  report.max_queue_depth = max_depth;
-  if (obs_ != nullptr) {
-    obs_finish_run(report, now);
-  }
-  return report;
 }
 
 }  // namespace gnnerator::serve

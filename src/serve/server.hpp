@@ -5,10 +5,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -23,7 +21,6 @@
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gnnerator::serve {
@@ -75,12 +72,12 @@ struct ServerOptions {
   Cycle per_request_overhead = 10'000;
   /// Capacity of the fleet-wide shared plan cache.
   std::size_t plan_cache_capacity = 64;
-  /// Worker threads of the serving pipeline (Server::serve): pure
+  /// Worker threads of the serving event loop (Server::serve): pure
   /// per-request work — plan-class keys, cost-oracle pricing, metrics
   /// reduction — fans out across a util::ThreadPool between scheduling
   /// points, with a conservative barrier before any queue/RNG/engine state
-  /// is touched, so reports are bitwise identical for every value
-  /// (differentially tested against run_reference). 1 = fully serial,
+  /// is touched, so reports are bitwise identical for every value (golden
+  /// fingerprints in the serving tests pin 1, 2 and 4). 1 = fully serial,
   /// 0 = hardware concurrency.
   std::size_t sim_threads = 1;
   /// Retain each request's ExecutionResult in its Outcome (tests /
@@ -89,9 +86,9 @@ struct ServerOptions {
   bool collect_results = false;
   /// Deterministic schedule of device crash/recover/slow/reclass events
   /// applied on the server clock during every serve run (serve/faults.hpp).
-  /// Fault events are ordinary DES events: both serving loops process them
-  /// at identical points, so any plan keeps serve() == run_reference()
-  /// bitwise.
+  /// Fault events are ordinary DES events processed at one fixed point of
+  /// the event loop, so any plan replays bitwise across runs and
+  /// sim_threads values.
   FaultPlan faults;
   /// Elastic fleet sizing (serve/autoscale.hpp); disabled when unset.
   std::optional<AutoscalerOptions> autoscale;
@@ -108,12 +105,12 @@ struct ServerOptions {
   /// dispatches pay no modeled feature-gather cost; when set, every
   /// feature-row gather of a sampled batch is priced hit-or-miss against
   /// the cache. Cache state persists across serve runs (like the plan
-  /// cache); differential comparisons need fresh servers.
+  /// cache); comparisons between runs need fresh servers.
   std::optional<FeatureCacheOptions> feature_cache;
-  /// Observability sink (src/obs/): when set, both serving loops record
-  /// request spans, device timelines and control marks into it at their
-  /// sequential event points, publish end-of-run metrics into its Registry,
-  /// and feed measured (plan class, device class) execution windows into its
+  /// Observability sink (src/obs/): when set, the serving loop records
+  /// request spans, device timelines and control marks into it at its
+  /// sequential event points, publishes end-of-run metrics into its Registry,
+  /// and feeds measured (plan class, device class) execution windows into its
   /// ExecWindowLog. Null = zero cost (every hook is behind one pointer
   /// check). The recorder's per-run streams reset at each serve call; its
   /// registry and exec-window history persist like the plan cache does.
@@ -165,24 +162,17 @@ class Server {
   /// device is idle. May be called repeatedly; the plan cache and result
   /// memo stay warm across calls (ids and virtual time restart at 0).
   ///
-  /// This is the production pipeline (src/serve/server_pipeline.cpp):
-  /// arrivals stream in sorted chunks (bounded memory for a
-  /// StreamingWorkloadSource), per-request annotation and metrics
-  /// reduction fan out across ServerOptions::sim_threads workers between
-  /// scheduling points, and completion records are stamped in place. The
-  /// report is bitwise identical to run_reference() — the differential
-  /// matrix in tests/serve_property_test.cpp enforces it. Note: comparing
-  /// the two paths needs fresh Server instances (or identical prior
-  /// history), since the plan cache and memos staying warm across calls is
-  /// part of the report.
+  /// The one serving event loop (src/serve/server_pipeline.cpp): arrivals
+  /// stream in sorted chunks (bounded memory for a StreamingWorkloadSource),
+  /// per-request annotation and metrics reduction fan out across
+  /// ServerOptions::sim_threads workers between scheduling points, and
+  /// completion records are stamped in place. The report is bitwise
+  /// identical for every sim_threads value; golden fingerprints in
+  /// tests/serve_property_test.cpp pin it across policies, fleets, fault
+  /// plans and sampled workloads. Note: comparing two runs needs fresh
+  /// Server instances (or identical prior history), since the plan cache
+  /// and memos staying warm across calls is part of the report.
   ServeReport serve(WorkloadSource& workload);
-
-  /// The naive single-threaded event loop the pipeline is differentially
-  /// tested against: one priority queue of materialized arrivals, no
-  /// annotation pipeline, no chunking — small, obviously-correct code kept
-  /// as the trusted baseline (the serving counterpart of PR 2's
-  /// SimKernel::run_reference).
-  ServeReport run_reference(WorkloadSource& workload);
 
   [[nodiscard]] core::PlanCacheStats cache_stats() const { return plan_cache_->stats(); }
   /// The plan-compatibility class a request would be admitted under
@@ -213,9 +203,6 @@ class Server {
   /// tail calibration fit between runs).
   [[nodiscard]] core::CostOracle& mutable_cost_oracle() { return cost_oracle_; }
   [[nodiscard]] std::size_t num_devices() const { return devices_.size(); }
-  /// The device class of one worker; the empty legacy class (no config
-  /// override) when ServerOptions::fleet was empty.
-  [[nodiscard]] const DeviceClass* device_class(std::size_t device) const;
   [[nodiscard]] const ServerOptions& options() const { return options_; }
   [[nodiscard]] bool has_dataset(std::string_view name) const;
   /// How many times the cost oracle actually ran the analytic compiler
@@ -255,16 +242,13 @@ class Server {
     /// Index into classes (expanded fleet); kNoClass on a legacy fleet.
     std::size_t klass = 0;
     Cycle busy_until = 0;
-    /// Outcomes of the batch in flight (empty when idle); completion is
-    /// stamped when the batch finishes. Used by run_reference only.
-    std::vector<Outcome> inflight;
-    /// The pipeline loop's in-flight representation: record ids only —
-    /// dispatch fields are stamped into the record vector in place, so a
-    /// completion never copies Outcome strings around.
+    /// Record ids of the batch in flight (empty when idle). Dispatch fields
+    /// are stamped into the run's record vector in place and completion
+    /// stamps each id's record, so no Outcome is ever copied around.
     std::vector<std::uint64_t> inflight_ids;
-    /// The queued requests of the batch in flight, kept by BOTH loops so a
-    /// crash can requeue exactly the aborted work with its annotations
-    /// (moved from the dispatch batch — no copies on the happy path).
+    /// The queued requests behind inflight_ids, so a crash can requeue
+    /// exactly the aborted work with its annotations (moved from the
+    /// dispatch batch — no copies on the happy path).
     std::vector<QueuedRequest> inflight_reqs;
     DeviceStats stats;
     // ---- Elastic state. ----------------------------------------------------
@@ -292,17 +276,16 @@ class Server {
   [[nodiscard]] const RegisteredDataset& registered(const std::string& name) const;
 
   // ---- Sampled mini-batch serving (k-hop frontiers, mixed-batch fusion,
-  // pre-sampling feature cache). Both event loops call these at identical
-  // points, which keeps sampled runs bitwise identical across loops and
-  // sim_threads values.
+  // pre-sampling feature cache). The event loop calls these at sequential
+  // points, which keeps sampled runs bitwise identical across sim_threads
+  // values.
 
   /// sample_memo_ key of a sampled request: plan-compatibility class | seed
   /// | fanout. The class component matters: the memoized SampledQuery
   /// embeds model-dependent fuse/exact keys, so two requests may only share
   /// an entry when their (model, config, dataflow) class matches —
   /// otherwise whichever model sampled a seed vertex first would leak its
-  /// keys into the other's requests (and the two event loops could resolve
-  /// the race differently).
+  /// keys into the other's requests.
   [[nodiscard]] std::string sampled_memo_key(const Request& request) const;
   /// Resolves a sampled request's frontier, subgraph dataset and
   /// compatibility keys. Pure: the sampling PRNG is seeded from
@@ -311,20 +294,14 @@ class Server {
   /// concurrent annotation slices, and the basis for coalescing.
   [[nodiscard]] std::shared_ptr<const SampledQuery> make_sampled_query(
       const Request& request) const;
-  /// Memoized make_sampled_query (reference loop's admit path; sequential).
-  [[nodiscard]] std::shared_ptr<const SampledQuery> sampled_for(const Request& request);
   /// Phase-A read-only memo probe (null on miss) and phase-B publication
-  /// for the pipeline loop; publish returns the canonical entry (first
+  /// for the annotation phases; publish returns the canonical entry (first
   /// publication wins, duplicates constructed by racing slices are
   /// dropped — contents are identical by construction).
   [[nodiscard]] std::shared_ptr<const SampledQuery> sampled_lookup(
       const std::string& memo_key) const;
   std::shared_ptr<const SampledQuery> publish_sampled(
       std::string memo_key, std::shared_ptr<const SampledQuery> query);
-  /// Canonical (first device class) cost estimate of a sampled request,
-  /// memoized under its exact key.
-  [[nodiscard]] std::uint64_t sampled_cost_estimate(const Request& request,
-                                                    const SampledQuery& sampled);
   /// Distinct frontiers of a sampled batch in first-appearance order — the
   /// fused composition. Requests sharing a seed share one block.
   [[nodiscard]] static std::vector<const SampledQuery*> sampled_composition(
@@ -363,17 +340,27 @@ class Server {
   /// on a legacy fleet). Memoized.
   [[nodiscard]] const std::string& exec_key(const QueuedRequest& queued,
                                             const Device& device);
-  /// The memoized canonical execution of one (plan class, device class);
-  /// runs the missing classes of `batch` through `device`'s engine (one
-  /// run_batch call).
+  /// Exec-memo slot of a device: its class index (one shared slot on a
+  /// legacy fleet).
+  [[nodiscard]] static std::size_t exec_slot(const Device& device) {
+    return device.klass == kNoClass ? 0 : device.klass;
+  }
+  /// The memoized canonical execution of one (plan class, device class),
+  /// indexed by interned class id; runs the missing classes of `batch`
+  /// through `device`'s engine (one run_batch call).
   void ensure_class_results(Device& device, const DispatchBatch& batch);
   /// Device occupancy of a batch on `device`, on the server timeline.
-  [[nodiscard]] Cycle batch_service_cycles(Device& device, const DispatchBatch& batch);
+  [[nodiscard]] Cycle batch_service_cycles(const Device& device,
+                                           const DispatchBatch& batch) const;
   /// Converts device cycles of `device`'s class onto the server timeline
   /// (identity on a legacy fleet and whenever the clocks match).
   [[nodiscard]] Cycle to_server_cycles(const Device& device, std::uint64_t device_cycles) const;
   [[nodiscard]] core::SimulationRequest sim_for_device(const core::SimulationRequest& sim,
                                                        const Device& device) const;
+  /// `sim` under the canonical (first) device class's config on a classed
+  /// fleet — what plan-class keys and canonical cost estimates are computed
+  /// under; `sim` unchanged on a legacy fleet.
+  [[nodiscard]] core::SimulationRequest canonical_sim(const core::SimulationRequest& sim) const;
 
   ServerOptions options_;
   /// Raw view of options_.recorder (hot-path null check); set once in the
@@ -390,16 +377,12 @@ class Server {
   /// The one estimator every consumer asks: analytic prior memo + measured
   /// (plan class, device class) execution windows (core/cost_oracle.hpp).
   core::CostOracle cost_oracle_;
-  /// class key -> canonical execution result (cycles + output), computed
-  /// once per (plan class, device class) for the whole fleet.
+  /// Execution identity (exec_key) -> canonical execution result (cycles +
+  /// output), computed once per (plan class, device config) for the whole
+  /// fleet: identically configured device classes share entries.
   std::unordered_map<std::string, std::shared_ptr<const core::ExecutionResult>> class_results_;
   /// (device class index, plan class key) -> execution-memo key.
   std::unordered_map<std::string, std::string> exec_keys_;
-  /// (device class index, plan class key) -> analytic *device* cycles (no
-  /// clock conversion, no overhead). Raw so WFQ charges and affinity
-  /// placement can blend against measured windows, which are recorded in
-  /// device cycles; queued_cost_estimate converts onto the server timeline.
-  std::unordered_map<std::string, std::uint64_t> device_estimates_;
   /// (dataset | seed | fanout) -> resolved sampled query, so repeated seeds
   /// sample once and coalesce (the sampled analogue of class_results_).
   std::unordered_map<std::string, std::shared_ptr<const SampledQuery>> sample_memo_;
@@ -411,14 +394,11 @@ class Server {
   /// iteration when the report aggregates their stats).
   std::map<std::string, FeatureCache> feature_caches_;
 
-  [[nodiscard]] std::uint64_t queued_cost_estimate(const QueuedRequest& queued,
-                                                   std::size_t device_index);
-
-  // ---- Cost-oracle plumbing (shared by both event loops). ------------------
+  // ---- Cost-oracle plumbing. -------------------------------------------------
   // All mutation happens at sequential event points (admission pricing,
-  // dispatch commit) in the identical order in serve() and run_reference(),
-  // so oracle state — and every decision derived from it — stays bitwise
-  // comparable across loops and sim_threads values.
+  // dispatch commit, affinity placement) in one fixed order, so oracle
+  // state — and every decision derived from it — is bitwise identical
+  // across sim_threads values.
 
   /// The admission-time queue cost: the canonical analytic estimate blended
   /// with the measured history of the canonical execution identity (the
@@ -434,70 +414,22 @@ class Server {
   /// under the device class that actually executes (bug fix: the queue-time
   /// canonical-class estimate misprices tiers on heterogeneous fleets).
   [[nodiscard]] std::uint64_t wfq_charge_cost(const DispatchBatch& batch, const Device& device);
-  /// Raw analytic device cycles of one request on one device's class,
-  /// memoized in device_estimates_.
+  /// Raw analytic *device* cycles of one queued request on one device's
+  /// class (no clock conversion, no overhead), memoized in estimates_by_id_.
+  /// Raw so WFQ charges can blend against measured windows, which are
+  /// recorded in device cycles; readers convert onto the server timeline.
   [[nodiscard]] std::uint64_t device_class_cycles(const QueuedRequest& queued,
-                                                  std::size_t device_index);
-  /// Affinity EFT: swaps the analytic estimate for the measured-exact
-  /// service time once the oracle has observed the request's execution
-  /// identity on this device's class. Non-const: interns the identity key.
-  [[nodiscard]] Cycle placement_estimate(const QueuedRequest& queued, const Device& device,
-                                         std::uint64_t analytic_estimate);
+                                                  const Device& device);
+  /// Affinity EFT, on the server timeline: the analytic estimate, swapped
+  /// for the measured-exact service time once the oracle has observed the
+  /// request's execution identity on this device's class. Non-const:
+  /// prices and interns on first touch.
+  [[nodiscard]] Cycle placement_estimate(const QueuedRequest& queued, const Device& device);
 
-  // ---- Elastic serving machinery (faults, requeues, autoscaling). ----------
-  // Both event loops drive one ElasticRun through the same Server hooks at
-  // the same event points (completions -> elastic_process -> arrivals ->
-  // dispatch), which is what keeps any fault plan bitwise identical between
-  // serve() and run_reference(). With faults and autoscale unset every hook
-  // is a no-op and the loops behave exactly as before.
+  // ---- Fleet mutation driven by the event loop (faults, autoscaling). -------
+  // The loop owns the per-run elastic state (fault cursor, requeue heap,
+  // autoscaler); these mutate the fleet itself.
 
-  /// Per-run elastic state: the fault-plan cursor, the aborted-work requeue
-  /// heap, the autoscaler, and the scale counters.
-  struct ElasticRun {
-    bool enabled = false;
-    std::size_t fault_cursor = 0;
-    std::optional<Autoscaler> autoscaler;
-    /// One aborted request waiting out its retry backoff.
-    struct Requeue {
-      Cycle at = 0;
-      std::uint64_t seq = 0;  ///< abort order: total tie-break at equal cycles
-      QueuedRequest request;
-    };
-    struct RequeueLater {
-      bool operator()(const Requeue& a, const Requeue& b) const {
-        return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
-      }
-    };
-    std::priority_queue<Requeue, std::vector<Requeue>, RequeueLater> requeues;
-    std::uint64_t requeue_seq = 0;
-    std::uint64_t scale_ups = 0;
-    std::uint64_t scale_downs = 0;
-  };
-
-  /// Closed-loop reissue sink of the running event loop (each loop passes
-  /// its own; the elastic hooks feed failed outcomes through it exactly
-  /// like the loops feed shed/completed ones).
-  using FeedBack = std::function<void(const Outcome&)>;
-
-  [[nodiscard]] ElasticRun make_elastic_run() const;
-  /// Earliest pending elastic event: next fault, next requeue release, or
-  /// the autoscaler's next tick. The loops only consult it while work is
-  /// pending (a leftover fault schedule must not keep an otherwise-finished
-  /// run alive).
-  [[nodiscard]] Cycle elastic_next_event(const ElasticRun& er) const;
-  /// Fires everything due at `now`: fault events (plan order), requeue
-  /// releases (backoff-expiry order), then one autoscaler evaluation.
-  void elastic_process(ElasticRun& er, Cycle now, Scheduler& scheduler,
-                       std::vector<Outcome>& records, const FeedBack& feed_back);
-  /// Feeds a completed outcome's latency into the autoscaler window.
-  void elastic_on_complete(ElasticRun& er, const Outcome& outcome) const;
-  void apply_fault_event(ElasticRun& er, const FaultEvent& event, Cycle now,
-                         std::vector<Outcome>& records, const FeedBack& feed_back);
-  /// Crash path: refunds the unserved device time, strips the dispatch
-  /// stamps from every in-flight record, and requeues each (backoff, retry
-  /// budget) or fails it (budget/SLO exhausted -> Outcome::failed).
-  void abort_inflight(ElasticRun& er, Device& device, Cycle now,
-                      std::vector<Outcome>& records, const FeedBack& feed_back);
   /// Scale up: reactivate the lowest-index removed device, else append an
   /// ephemeral one of the scale class (canonical class 0 / legacy).
   bool scale_up(Cycle now);
@@ -515,10 +447,10 @@ class Server {
   [[nodiscard]] Cycle scaled_service(const Device& device, Cycle cycles) const;
 
   // ---- Observability hooks (src/obs/). --------------------------------------
-  // Every hook fires at a sequential event point with the DES cycle, and
-  // both event loops call the same hook at the same point — that is the
-  // whole determinism argument for byte-identical trace exports. Each is a
-  // no-op behind one pointer check when no recorder is attached.
+  // Every hook fires at a sequential event point with the DES cycle, never
+  // from a fanned-out phase — that is the whole determinism argument for
+  // trace exports byte-identical across sim_threads values. Each is a no-op
+  // behind one pointer check when no recorder is attached.
 
   /// Starts the recorder's per-run streams with the fleet snapshot.
   void obs_begin_run();
@@ -541,7 +473,7 @@ class Server {
   void obs_complete(const Outcome& record, Cycle now);
   /// End-of-run publication: closes trailing health spans, stops the run,
   /// publishes the report's metrics into the Registry and snapshots the
-  /// ExecWindowLog onto the report. Called from assemble_report.
+  /// ExecWindowLog onto the report. Called when the loop assembles the report.
   void obs_finish_run(ServeReport& report, Cycle now);
   /// When engine-span capture is on, runs one traced execution through
   /// `device`'s engine and memoizes its window template under `exec_key`;
@@ -558,9 +490,9 @@ class Server {
     return static_cast<std::uint32_t>(&device - devices_.data());
   }
 
-  // ---- Serving-pipeline state (server_pipeline.cpp). -----------------------
-  /// The optimized event loop behind serve(); nested so it can reach the
-  /// memo tables without widening the public surface.
+  // ---- Serving-loop state (server_pipeline.cpp). ----------------------------
+  /// The event loop behind serve(), with its per-run state; nested so it
+  /// can reach the memo tables without widening the public surface.
   struct Pipeline;
 
   /// One plan class in the dense registry.
@@ -570,29 +502,17 @@ class Server {
   };
 
   /// Dense plan-class registry: key -> id and id -> key + canonical cost.
-  /// The id-indexed side tables below turn the pipeline's hot memo lookups
-  /// (execution results, affinity EFT estimates) into array indexing; the
-  /// string-keyed maps above stay the source of truth shared with
-  /// run_reference, so either loop warms the other.
+  /// The id-indexed side tables below turn the loop's hot memo lookups
+  /// (execution results, analytic device estimates) into array indexing.
   std::unordered_map<std::string, std::uint32_t> class_ids_;
   std::vector<PlanClass> plan_classes_;
-  /// [exec slot][class id]; exec slot = device class index (a single
-  /// shared slot on a legacy fleet). Entries are null / kNoDeadline until
-  /// first touched.
+  /// [exec slot][class id] (see exec_slot). Entries are null / kNoEstimate
+  /// until first touched; estimates are raw device cycles
+  /// (device_class_cycles).
   std::vector<std::vector<std::shared_ptr<const core::ExecutionResult>>> results_by_id_;
   std::vector<std::vector<std::uint64_t>> estimates_by_id_;
   /// Lazily built worker pool (sim_threads != 1), reused across serve runs.
   std::unique_ptr<util::ThreadPool> pool_;
-
-  /// Report assembly shared by both loops — one code path, so the two
-  /// cannot drift in how metrics/devices/cache stats are folded in. Also
-  /// the end-of-run fleet reset: health/class/slow-factor restored to
-  /// baselines, ephemeral autoscaler devices erased, so repeated serve
-  /// calls see the configured fleet.
-  ServeReport assemble_report(std::vector<Outcome>&& records, Cycle now,
-                              const util::RunningStats& depth_stats, std::size_t max_depth,
-                              std::uint64_t events, const ElasticRun& er,
-                              util::ThreadPool* pool);
 };
 
 }  // namespace gnnerator::serve

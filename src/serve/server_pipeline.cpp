@@ -1,4 +1,4 @@
-/// The optimized event loop behind Server::serve.
+/// The serving event loop behind Server::serve.
 ///
 /// Structure: arrivals come in sorted chunks (a StreamingWorkloadSource is
 /// pulled incrementally, so trace memory stays bounded; a plain source is
@@ -16,18 +16,18 @@
 ///
 /// The annotated cost is the *analytic* prior; the measurement blend
 /// happens at admit(), a sequential event point, so a chunk annotated far
-/// ahead of the loop never bakes in an oracle state the reference loop
-/// would not have seen at the same admission.
+/// ahead of the loop never bakes in an oracle state from the future.
 ///
 /// The event loop itself is sequential: scheduler mutations, engine
-/// simulations and closed-loop RNG draws happen in exactly the reference
-/// order, between the conservative barriers the phases above respect. That
-/// is what makes the report bitwise identical to Server::run_reference for
-/// every sim_threads value — tests/serve_property_test.cpp holds the two
-/// loops against each other across policies, fleets and thread counts.
+/// simulations, fault handling and closed-loop RNG draws happen in one
+/// fixed order, between the conservative barriers the phases above respect.
+/// That is what makes the report bitwise identical for every sim_threads
+/// value — golden fingerprints in tests/serve_property_test.cpp pin it
+/// across policies, fleets, fault plans and thread counts.
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <numeric>
 #include <optional>
@@ -36,6 +36,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gnnerator::serve {
@@ -46,6 +47,34 @@ namespace {
 constexpr std::size_t kParallelGrain = 256;
 /// Arrivals annotated per intake refill.
 constexpr std::size_t kIntakeChunk = 4096;
+
+/// An item released at a future cycle; `seq` (push order) totally orders
+/// items released at the same cycle.
+template <class T>
+struct Timed {
+  Cycle at = 0;
+  std::uint64_t seq = 0;
+  T item;
+};
+
+struct TimedLater {
+  template <class T>
+  bool operator()(const Timed<T>& a, const Timed<T>& b) const {
+    return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
+  }
+};
+
+template <class T>
+using TimedHeap = std::priority_queue<Timed<T>, std::vector<Timed<T>>, TimedLater>;
+
+/// Moves the top item out of a heap (priority_queue::top is const; the
+/// element is discarded by the pop).
+template <class T>
+T pop_item(TimedHeap<T>& heap) {
+  T item = std::move(const_cast<Timed<T>&>(heap.top()).item);
+  heap.pop();
+  return item;
+}
 
 }  // namespace
 
@@ -81,21 +110,10 @@ struct Server::Pipeline {
   std::size_t buffer_pos = 0;
   bool drained = false;
 
-  // ---- Feedback arrivals (closed-loop reissues). Only these need a heap:
-  // the main stream is already sorted, and the reference's emission seqs
-  // put every initial arrival ahead of every feedback push, so at equal
-  // cycles the stream head wins. ----------------------------------------
-  struct Feedback {
-    Cycle at = 0;
-    std::uint64_t seq = 0;  ///< push order: total tie-break at equal cycles
-    Request request;
-  };
-  struct FeedbackLater {
-    bool operator()(const Feedback& a, const Feedback& b) const {
-      return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
-    }
-  };
-  std::priority_queue<Feedback, std::vector<Feedback>, FeedbackLater> feedback;
+  /// Feedback arrivals (closed-loop reissues). Only these need a heap: the
+  /// main stream is already sorted, and at equal cycles the stream head
+  /// wins (see the arrivals step of run()).
+  TimedHeap<Request> feedback;
   std::uint64_t feedback_seq = 0;
 
   // ---- Event-loop state. ------------------------------------------------
@@ -104,42 +122,37 @@ struct Server::Pipeline {
   std::size_t max_depth = 0;
   Cycle now = 0;
   std::uint64_t events = 0;
-  ElasticRun er;
-  /// feed_back as the type the shared elastic hooks take (constructed once;
-  /// the std::function indirection stays off the non-elastic paths).
-  FeedBack feed_back_fn;
+
+  // ---- Elastic state: the fault-plan cursor, the aborted-work requeue
+  // heap, the autoscaler and the scale counters. With faults and autoscale
+  // unset every elastic step is a no-op. -----------------------------------
+  bool elastic = false;
+  std::size_t fault_cursor = 0;
+  std::optional<Autoscaler> autoscaler;
+  /// Aborted requests waiting out their retry backoff, in abort order at
+  /// equal release cycles.
+  TimedHeap<QueuedRequest> requeues;
+  std::uint64_t requeue_seq = 0;
+  std::uint64_t scale_ups = 0;
+  std::uint64_t scale_downs = 0;
 
   Pipeline(Server& s, WorkloadSource& w, util::ThreadPool* p)
       : server(s), workload(w), stream(dynamic_cast<StreamingWorkloadSource*>(&w)), pool(p) {
-    er = server.make_elastic_run();
-    feed_back_fn = [this](const Outcome& outcome) { feed_back(outcome); };
-    scheduler =
-        make_scheduler(server.options_.policy, server.options_.limits, server.request_classes_);
+    const ServerOptions& options = server.options_;
+    scheduler = make_scheduler(options.policy, options.limits, server.request_classes_);
+    elastic = !options.faults.empty() || options.autoscale.has_value();
+    if (options.autoscale.has_value()) {
+      autoscaler.emplace(*options.autoscale, options.clock_ghz);
+    }
     if (stream == nullptr) {
       materialized = workload.initial_arrivals();
       order.resize(materialized.size());
       std::iota(order.begin(), order.end(), 0u);
-      // Stable by arrival == the reference's (cycle, emission seq) order.
+      // Stable by arrival: equal cycles keep emission order.
       std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
         return materialized[a].arrival < materialized[b].arrival;
       });
     }
-    // Size the id-indexed memo views to the fleet and the (possibly warm)
-    // class registry.
-    const std::size_t slots =
-        server.device_classes_.empty() ? 1 : server.device_classes_.size();
-    server.results_by_id_.resize(slots);
-    server.estimates_by_id_.resize(slots);
-    for (auto& slot : server.results_by_id_) {
-      slot.resize(server.plan_classes_.size());
-    }
-    for (auto& slot : server.estimates_by_id_) {
-      slot.resize(server.plan_classes_.size(), kNoEstimate);
-    }
-  }
-
-  [[nodiscard]] std::size_t exec_slot(const Device& device) const {
-    return device.klass == kNoClass ? 0 : device.klass;
   }
 
   /// Phase-A body: everything derivable from the request alone. Reads only
@@ -173,14 +186,7 @@ struct Server::Pipeline {
       a.key = a.sampled->fuse_key;
       return;
     }
-    const RegisteredDataset& dataset = server.registered(r.sim.dataset);
-    if (server.device_classes_.empty()) {
-      a.key = request_class_key(dataset.fingerprint, r.sim);
-    } else {
-      core::SimulationRequest canonical = r.sim;
-      canonical.config = server.device_classes_.front().config;
-      a.key = request_class_key(dataset.fingerprint, canonical);
-    }
+    a.key = server.class_key(r.sim);
   }
 
   /// Phase-B body: dense-id interning (sequential; grows the registry and
@@ -188,8 +194,7 @@ struct Server::Pipeline {
   void intern(Annotated& a) {
     if (a.sampled != nullptr) {
       // First-wins publish into the shared memo: every duplicate drawn in
-      // phase A collapses to one canonical SampledQuery, the same object the
-      // reference loop's admit would have memoized.
+      // phase A collapses to one canonical SampledQuery.
       a.sampled = server.publish_sampled(std::move(a.sample_memo_key), std::move(a.sampled));
     }
     // Sampled requests intern per exact (frontier) key — cost and result
@@ -212,21 +217,10 @@ struct Server::Pipeline {
   /// The canonical analytic cost. CostOracle::compute is clamped to >= 1,
   /// so 0 doubles as "not yet priced" in the registry.
   [[nodiscard]] std::uint64_t compute_cost(const Annotated& a) const {
-    const Request& r = a.request;
-    if (a.sampled != nullptr) {
-      core::SimulationRequest canonical = r.sim;
-      if (!server.device_classes_.empty()) {
-        canonical.config = server.device_classes_.front().config;
-      }
-      return server.cost_oracle_.compute(*a.sampled->dataset, canonical);
-    }
-    const RegisteredDataset& dataset = server.registered(r.sim.dataset);
-    if (server.device_classes_.empty()) {
-      return server.cost_oracle_.compute(*dataset.dataset, r.sim);
-    }
-    core::SimulationRequest canonical = r.sim;
-    canonical.config = server.device_classes_.front().config;
-    return server.cost_oracle_.compute(*dataset.dataset, canonical);
+    const graph::Dataset& dataset = a.sampled != nullptr
+                                        ? *a.sampled->dataset
+                                        : *server.registered(a.request.sim.dataset).dataset;
+    return server.cost_oracle_.compute(dataset, server.canonical_sim(a.request.sim));
   }
 
   /// Annotates one chunk through phases A-D (see the file comment).
@@ -254,8 +248,8 @@ struct Server::Pipeline {
     }
 
     // Phase B: intern sequentially; collect the distinct classes that still
-    // need a canonical cost (probing the model memo first — a prior
-    // run_reference may have priced them already).
+    // need a canonical cost (probing the oracle memo first — a public
+    // cost_estimate call may have priced them already).
     std::vector<std::uint32_t> missing_cids;
     std::vector<std::size_t> missing_reps;
     for (std::size_t i = 0; i < buffer.size(); ++i) {
@@ -292,7 +286,7 @@ struct Server::Pipeline {
     }
 
     // Phase D: publish — one prime per class, so cost_oracle_runs() counts
-    // exactly what the reference loop would have computed lazily.
+    // each distinct class exactly once.
     for (std::size_t i = 0; i < missing_cids.size(); ++i) {
       PlanClass& pc = server.plan_classes_[missing_cids[i]];
       server.cost_oracle_.prime(pc.key, costs[i]);
@@ -346,13 +340,22 @@ struct Server::Pipeline {
   void feed_back(const Outcome& outcome) {
     for (Request& request : workload.on_outcome(outcome)) {
       const Cycle at = std::max(request.arrival, now);
-      feedback.push(Feedback{at, feedback_seq++, std::move(request)});
+      feedback.push(Timed<Request>{at, feedback_seq++, std::move(request)});
     }
+  }
+
+  /// Closes a shed or failed record at `now` (the caller sets which) and
+  /// feeds it back to the workload.
+  void close_unserved(Outcome& record) {
+    record.dispatch = now;
+    record.completion = now;
+    server.obs_terminal(record, now);
+    feed_back(record);
   }
 
   /// The serial annotation path for feedback arrivals (one at a time, so
   /// the chunk machinery would be overhead). Leaves the cost oracle in the
-  /// exact state the reference admit would.
+  /// same state a chunked annotation would.
   void annotate_serial(Annotated& a) {
     annotate_fields(a);
     intern(a);
@@ -385,18 +388,15 @@ struct Server::Pipeline {
 
     if (server.options_.queue_capacity > 0 &&
         scheduler->depth() >= server.options_.queue_capacity) {
-      Outcome& shed = records.back();
-      shed.shed = true;
-      shed.dispatch = now;
-      shed.completion = now;
-      server.obs_terminal(shed, now);
-      feed_back(shed);
+      records.back().shed = true;
+      close_unserved(records.back());
       return;
     }
     // Blend the annotated analytic cost with the measured history *here* —
-    // admission is a sequential event point shared with the reference loop,
-    // so the oracle windows consulted are identical whichever loop runs.
-    // (Sampled requests stay analytic; see Server::run_reference's admit.)
+    // admission is a sequential event point, so the oracle windows consulted
+    // never depend on how far ahead the chunk was annotated. (Sampled
+    // requests stay analytic: fused-composition windows are not
+    // per-frontier measurements.)
     const std::uint64_t cost =
         a.sampled != nullptr ? a.cost : server.blended_cost(a.cost, a.key);
     scheduler->enqueue(QueuedRequest{std::move(a.request), std::move(a.key),
@@ -404,115 +404,38 @@ struct Server::Pipeline {
                        now);
   }
 
-  /// ensure_class_results with the string hashing replaced by dense-id
-  /// indexing; falls through to (and warms) the string-keyed memo shared
-  /// with the reference loop, so either loop reuses the other's engine
-  /// runs. Engine batches run in the reference's exact order.
-  void ensure_class_results_fast(Device& device, const DispatchBatch& batch) {
-    auto& slot = server.results_by_id_[exec_slot(device)];
-    std::vector<std::uint32_t> missing_cids;
-    std::vector<const QueuedRequest*> missing_reps;
-    for (const QueuedRequest& q : batch.requests) {
-      if (slot[q.class_id] != nullptr) {
-        continue;
-      }
-      const std::string& key = server.exec_key(q, device);
-      if (const auto it = server.class_results_.find(key); it != server.class_results_.end()) {
-        slot[q.class_id] = it->second;
-        continue;
-      }
-      if (std::find(missing_cids.begin(), missing_cids.end(), q.class_id) ==
-          missing_cids.end()) {
-        missing_cids.push_back(q.class_id);
-        missing_reps.push_back(&q);
-      }
-    }
-    if (missing_cids.empty()) {
-      return;
-    }
-    std::vector<core::SimulationRequest> sims;
-    sims.reserve(missing_reps.size());
-    for (const QueuedRequest* q : missing_reps) {
-      sims.push_back(server.sim_for_device(q->request.sim, device));
-    }
-    std::vector<core::ExecutionResult> results;
-    if (server.obs_wants_engine_spans()) {
-      // Serial traced executions, memoizing window templates (identical
-      // results — mirrors ensure_class_results in server.cpp).
-      results.reserve(sims.size());
-      for (std::size_t i = 0; i < sims.size(); ++i) {
-        results.push_back(server.obs_traced_run(
-            device, sims[i], server.exec_key(*missing_reps[i], device)));
-      }
-    } else {
-      results = device.engine->run_batch(sims);
-    }
-    for (std::size_t i = 0; i < missing_cids.size(); ++i) {
-      if (!server.options_.collect_results) {
-        results[i].output.reset();
-      }
-      auto shared = std::make_shared<const core::ExecutionResult>(std::move(results[i]));
-      server.class_results_.emplace(server.exec_key(*missing_reps[i], device), shared);
-      slot[missing_cids[i]] = std::move(shared);
-    }
-  }
-
-  [[nodiscard]] Cycle batch_service_cycles_fast(const Device& device,
-                                                const DispatchBatch& batch) const {
-    const auto& slot = server.results_by_id_[exec_slot(device)];
-    std::uint64_t device_cycles = 0;
-    std::vector<std::uint32_t> seen;
-    seen.reserve(batch.requests.size());
-    for (const QueuedRequest& q : batch.requests) {
-      if (std::find(seen.begin(), seen.end(), q.class_id) != seen.end()) {
-        continue;
-      }
-      seen.push_back(q.class_id);
-      GNNERATOR_CHECK_MSG(slot[q.class_id] != nullptr, "class result missing at dispatch");
-      device_cycles += slot[q.class_id]->cycles;
-    }
-    return server.scaled_service(
-        device, server.to_server_cycles(device, device_cycles) +
-                    server.options_.per_request_overhead *
-                        static_cast<Cycle>(batch.requests.size()));
-  }
-
-  /// The affinity EFT estimate, as array indexing; falls through to (and
-  /// warms) the string-keyed memo on first touch.
-  [[nodiscard]] std::uint64_t estimate_fast(const QueuedRequest& q, std::size_t di) {
-    std::uint64_t& e = server.estimates_by_id_[exec_slot(server.devices_[di])][q.class_id];
-    if (e == kNoEstimate) {
-      e = server.queued_cost_estimate(q, di);
-    }
-    return e;
-  }
-
-  /// Reference dispatch_batch_to, with records stamped in place: dispatch
-  /// fields at dispatch, completion at completion — no Outcome ever copies
-  /// through a device's in-flight list.
+  /// SLO admission control + device occupation for one popped batch on one
+  /// device. A request whose batch would complete past its deadline is shed
+  /// *before* occupying the device; shedding shrinks the batch (and
+  /// possibly its class set), which can rescue the rest — iterate to the
+  /// fixpoint. Records are stamped in place: dispatch fields here,
+  /// completion when the batch finishes. Returns true when the device was
+  /// occupied (the batch was not fully shed).
   bool dispatch_batch_to(Device& device, std::uint32_t di, DispatchBatch batch) {
     const bool sampled =
         !batch.requests.empty() && batch.requests.front().sampled != nullptr;
+    const auto service_of = [&] {
+      return sampled ? server.sampled_batch_service(device, batch)
+                     : server.batch_service_cycles(device, batch);
+    };
     while (!batch.requests.empty()) {
       if (sampled) {
         server.ensure_sampled_results(device, batch);
       } else {
-        ensure_class_results_fast(device, batch);
+        server.ensure_class_results(device, batch);
       }
-      const Cycle service = sampled ? server.sampled_batch_service(device, batch)
-                                    : batch_service_cycles_fast(device, batch);
+      const Cycle service = service_of();
       const std::size_t before = batch.requests.size();
       std::erase_if(batch.requests, [&](const QueuedRequest& queued) {
-        const double slo_ms = records[queued.request.id].applied_slo_ms;
-        if (slo_ms <= 0.0) {
+        Outcome& record = records[queued.request.id];
+        if (record.applied_slo_ms <= 0.0) {
           return false;
         }
-        const Cycle deadline =
-            queued.request.arrival + ms_to_cycles(slo_ms, server.options_.clock_ghz);
+        const Cycle deadline = queued.request.arrival +
+                               ms_to_cycles(record.applied_slo_ms, server.options_.clock_ghz);
         if (now + service <= deadline) {
           return false;
         }
-        Outcome& record = records[queued.request.id];
         // A fault-retried request that runs out of SLO is a failure, not a
         // shed: the system took it on and lost it.
         if (record.retries > 0) {
@@ -520,10 +443,7 @@ struct Server::Pipeline {
         } else {
           record.shed = true;
         }
-        record.dispatch = now;
-        record.completion = now;
-        server.obs_terminal(record, now);
-        feed_back(record);
+        close_unserved(record);
         return true;
       });
       if (batch.requests.size() == before) {
@@ -534,21 +454,21 @@ struct Server::Pipeline {
       return false;
     }
 
-    const Cycle service = sampled ? server.sampled_batch_service(device, batch)
-                                  : batch_service_cycles_fast(device, batch);
+    const Cycle service = service_of();
     if (sampled) {
-      // Same sequential commit point as the reference loop (see server.cpp).
+      // The batch is committed to the device: apply the feature-cache LRU
+      // effects once, at this sequential point.
       server.commit_sampled_gather(batch);
     }
     server.obs_dispatch(device, batch, now);
     server.oracle_observe_dispatch(device, batch);
     if (server.request_classes_.size() > 1) {
-      // WFQ accounting at dispatch commit — mirrors the reference loop:
-      // charge the tier with the executing device class's cost.
-      scheduler->charge(batch.requests.front().tier,
-                        server.wfq_charge_cost(batch, device));
+      // WFQ accounting at dispatch commit: charge the tier with the cost of
+      // the device class that actually executes the batch, not the
+      // canonical-class estimate it was queued with.
+      scheduler->charge(batch.requests.front().tier, server.wfq_charge_cost(batch, device));
     }
-    const auto& slot = server.results_by_id_[exec_slot(device)];
+    const auto& slot = server.results_by_id_[server.exec_slot(device)];
     for (const QueuedRequest& queued : batch.requests) {
       Outcome& record = records[queued.request.id];
       record.dispatch = now;
@@ -569,7 +489,13 @@ struct Server::Pipeline {
     return true;
   }
 
-  /// Reference dispatch_affinity with the EFT estimates as array indexing.
+  /// Affinity-aware (HEFT) dispatch: scan dispatchable requests in policy
+  /// order and place each on the device with the earliest estimated finish
+  /// time (cost model under each device class's config). A request whose
+  /// best device is busy is *held* — its preferred device finishing is a
+  /// completion event, so the hold always resolves without extra wake-ups.
+  /// Each placement changes busy states, so rescan until a full pass
+  /// places nothing.
   void dispatch_affinity() {
     bool progress = true;
     while (progress) {
@@ -585,7 +511,9 @@ struct Server::Pipeline {
           }
           const bool busy = !device.inflight_ids.empty();
           const Cycle start = busy ? device.busy_until : now;
-          const Cycle eft = start + server.placement_estimate(*q, device, estimate_fast(*q, di));
+          const Cycle eft = start + server.placement_estimate(*q, device);
+          // Total order: earliest finish, then idle before busy, then the
+          // lower device index (the scan order).
           if (best == server.devices_.size() || eft < best_eft ||
               (eft == best_eft && !busy && best_busy)) {
             best = di;
@@ -608,12 +536,197 @@ struct Server::Pipeline {
     }
   }
 
+  // ---- Elastic steps (faults, requeues, autoscaling). ----------------------
+
+  /// Earliest pending elastic event: next fault, next requeue release, or
+  /// the autoscaler's next tick. The loop only consults it while work is
+  /// pending (a leftover fault schedule must not keep an otherwise-finished
+  /// run alive).
+  [[nodiscard]] Cycle next_elastic_event() const {
+    if (!elastic) {
+      return kNoDeadline;
+    }
+    const std::vector<FaultEvent>& faults = server.options_.faults.events;
+    Cycle next = kNoDeadline;
+    if (fault_cursor < faults.size()) {
+      next = std::min(next, faults[fault_cursor].at);
+    }
+    if (!requeues.empty()) {
+      next = std::min(next, requeues.top().at);
+    }
+    if (autoscaler.has_value()) {
+      next = std::min(next, autoscaler->next_tick());
+    }
+    return next;
+  }
+
+  /// Fires everything due at `now`: fault events (plan order), requeue
+  /// releases (backoff-expiry order), then one autoscaler evaluation.
+  void process_elastic() {
+    if (!elastic) {
+      return;
+    }
+    const std::vector<FaultEvent>& faults = server.options_.faults.events;
+    while (fault_cursor < faults.size() && faults[fault_cursor].at <= now) {
+      apply_fault(faults[fault_cursor]);
+      ++fault_cursor;
+    }
+    while (!requeues.empty() && requeues.top().at <= now) {
+      QueuedRequest q = pop_item(requeues);
+      if (server.obs_ != nullptr) {
+        obs::SpanEvent ev;
+        ev.request = q.request.id;
+        ev.at = now;
+        ev.phase = obs::SpanPhase::kResume;
+        server.obs_->request_event(std::move(ev));
+      }
+      // Requeues bypass the admission queue bound: the request was already
+      // admitted once and owns a record.
+      scheduler->enqueue(std::move(q), now);
+    }
+    if (autoscaler.has_value() && autoscaler->next_tick() <= now) {
+      std::size_t active = 0;
+      for (const Device& device : server.devices_) {
+        active += device.health == DeviceHealth::kActive ? 1 : 0;
+      }
+      const Autoscaler::Action action =
+          autoscaler->evaluate(now, scheduler->depth(), active, scheduler->queued_cost());
+      if (action == Autoscaler::Action::kUp && server.scale_up(now)) {
+        ++scale_ups;
+      } else if (action == Autoscaler::Action::kDown && server.scale_down(now)) {
+        ++scale_downs;
+      }
+    }
+  }
+
+  void apply_fault(const FaultEvent& event) {
+    GNNERATOR_CHECK_MSG(event.device < server.devices_.size(),
+                        "fault plan targets dev" << event.device << " but the fleet has "
+                                                 << server.devices_.size() << " devices");
+    Device& device = server.devices_[event.device];
+    if (server.obs_ != nullptr) {
+      obs::Mark m;
+      m.at = now;
+      m.device = static_cast<std::uint32_t>(event.device);
+      switch (event.kind) {
+        case FaultKind::kCrash:
+          m.kind = obs::MarkKind::kCrash;
+          break;
+        case FaultKind::kRecover:
+          m.kind = obs::MarkKind::kRecover;
+          break;
+        case FaultKind::kSlow:
+          m.kind = obs::MarkKind::kSlow;
+          m.value = static_cast<std::uint64_t>(std::llround(event.factor * 1000.0));
+          break;
+        case FaultKind::kReclass:
+          m.kind = obs::MarkKind::kReclass;
+          m.detail = event.klass;
+          break;
+      }
+      server.obs_->mark(std::move(m));
+    }
+    switch (event.kind) {
+      case FaultKind::kCrash:
+        device.stats.crashes += 1;
+        abort_inflight(device);
+        server.set_device_health(device, DeviceHealth::kCrashed, now);
+        break;
+      case FaultKind::kRecover:
+        device.slow_factor = 1.0;
+        // Only crashes heal; a removed (scaled-down) device stays with the
+        // autoscaler.
+        if (device.health == DeviceHealth::kCrashed) {
+          server.set_device_health(device, DeviceHealth::kActive, now);
+        }
+        break;
+      case FaultKind::kSlow:
+        device.slow_factor = event.factor;
+        break;
+      case FaultKind::kReclass:
+        GNNERATOR_CHECK_MSG(!server.device_classes_.empty(),
+                            "reclass faults need a classed fleet (ServerOptions::fleet)");
+        // The in-flight batch (if any) completes under its dispatch-time
+        // timing; only subsequent dispatches see the new class.
+        device.klass = server.intern_device_class(event.klass);
+        break;
+    }
+  }
+
+  /// Crash path: refunds the unserved device time, strips the dispatch
+  /// stamps from every in-flight record, and requeues each (backoff, retry
+  /// budget) or fails it (budget/SLO exhausted -> Outcome::failed).
+  void abort_inflight(Device& device) {
+    const ServerOptions& options = server.options_;
+    obs::Recorder* obs = server.obs_;
+    if (!device.inflight_reqs.empty()) {
+      GNNERATOR_CHECK_MSG(device.busy_until >= now, "aborting an already-completed batch");
+      // Refund the unserved remainder: the device was only busy until the
+      // crash, not until the batch's scheduled completion.
+      device.stats.busy_cycles -= device.busy_until - now;
+      device.stats.aborted += static_cast<std::uint64_t>(device.inflight_reqs.size());
+      const std::uint32_t di = server.device_index(device);
+      if (obs != nullptr) {
+        obs->close_busy(di, now, /*aborted=*/true);
+      }
+      for (QueuedRequest& q : device.inflight_reqs) {
+        Outcome& record = records[q.request.id];
+        // Strip the dispatch stamps: the record reverts to "admitted, not yet
+        // served".
+        record.dispatch = 0;
+        record.device = 0;
+        record.batch_size = 1;
+        record.service_cycles = 0;
+        record.result.reset();
+        ++record.retries;
+        const Cycle backoff = options.retry_backoff
+                              << std::min<std::uint32_t>(record.retries - 1, 20);
+        const Cycle ready = now + backoff;
+        bool fail = record.retries > options.retry_budget;
+        if (!fail && record.applied_slo_ms > 0.0) {
+          const Cycle deadline =
+              record.arrival + ms_to_cycles(record.applied_slo_ms, options.clock_ghz);
+          fail = ready > deadline;  // the backoff alone already misses the SLO
+        }
+        if (obs != nullptr) {
+          obs::SpanEvent ev;
+          ev.request = record.id;
+          ev.at = now;
+          ev.phase = obs::SpanPhase::kAbort;
+          ev.device = di;
+          ev.value = record.retries;
+          obs->request_event(std::move(ev));
+        }
+        if (fail) {
+          record.failed = true;
+          close_unserved(record);
+        } else {
+          ++record.requeues;
+          if (obs != nullptr) {
+            obs::SpanEvent ev;
+            ev.request = record.id;
+            ev.at = now;
+            ev.phase = obs::SpanPhase::kRequeue;
+            ev.device = di;
+            ev.value = ready;
+            obs->request_event(std::move(ev));
+          }
+          requeues.push(Timed<QueuedRequest>{ready, requeue_seq++, std::move(q)});
+        }
+      }
+    }
+    device.inflight_ids.clear();
+    device.inflight_reqs.clear();
+    device.busy_until = 0;
+  }
+
   ServeReport run() {
     while (true) {
       // ---- Next event: earliest of (batch completion, stream or feedback
-      // arrival, scheduler window expiry while a device idles). This is the
-      // conservative barrier: nothing past `next` has been simulated, so
-      // everything annotated ahead of it stayed pure. -----------------------
+      // arrival, scheduler window expiry while a device idles, elastic
+      // event while work is pending). This is the conservative barrier:
+      // nothing past `next` has been simulated, so everything annotated
+      // ahead of it stayed pure. ---------------------------------------------
       Cycle next = kNoDeadline;
       bool any_idle = false;
       for (const Device& device : server.devices_) {
@@ -630,19 +743,24 @@ struct Server::Pipeline {
       if (any_idle) {
         next = std::min(next, scheduler->next_ready(now));
       }
-      // Elastic events only while work is pending — same gating as the
-      // reference loop (see server.cpp).
+      // Elastic events (faults, requeue releases, autoscaler ticks) only
+      // matter while there is work for them to act on: gating them on
+      // work_pending is what terminates a run with a longer fault schedule
+      // than workload, while a pending recover/scale-up still wakes the loop
+      // for queued work no current device can take.
       const bool work_pending =
-          next != kNoDeadline || scheduler->depth() > 0 || !er.requeues.empty();
+          next != kNoDeadline || scheduler->depth() > 0 || !requeues.empty();
       if (work_pending) {
-        next = std::min(next, server.elastic_next_event(er));
+        next = std::min(next, next_elastic_event());
       }
       if (next == kNoDeadline) {
         if (scheduler->depth() == 0) {
           break;
         }
-        // Terminal starvation: no active device and nothing left to revive
-        // capacity — fail the stranded queue (mirrors the reference loop).
+        // Terminal starvation: queued work, but no active device and nothing
+        // left (no recover event, no autoscaler) to ever revive capacity.
+        // Fail the stranded queue at the scheduler's own release point and
+        // keep looping — failure feedback may reissue closed-loop arrivals.
         const Cycle ready_at = scheduler->next_ready(now);
         if (ready_at != kNoDeadline && ready_at > now) {
           now = ready_at;
@@ -651,12 +769,8 @@ struct Server::Pipeline {
         const std::size_t before = scheduler->depth();
         while (std::optional<DispatchBatch> popped = scheduler->pop(now)) {
           for (QueuedRequest& q : popped->requests) {
-            Outcome& record = records[q.request.id];
-            record.failed = true;
-            record.dispatch = now;
-            record.completion = now;
-            server.obs_terminal(record, now);
-            feed_back(record);
+            records[q.request.id].failed = true;
+            close_unserved(records[q.request.id]);
           }
         }
         GNNERATOR_CHECK_MSG(scheduler->depth() < before,
@@ -676,7 +790,9 @@ struct Server::Pipeline {
         for (const std::uint64_t id : device.inflight_ids) {
           records[id].completion = now;
           server.obs_complete(records[id], now);
-          server.elastic_on_complete(er, records[id]);
+          if (autoscaler.has_value()) {
+            autoscaler->observe(records[id].latency_ms(server.options_.clock_ghz));
+          }
           feed_back(records[id]);
         }
         device.inflight_ids.clear();
@@ -685,21 +801,19 @@ struct Server::Pipeline {
 
       // ---- Elastic events due at `now` (before arrivals: a crashed or
       // scaled fleet is what admission and dispatch must see). --------------
-      server.elastic_process(er, now, *scheduler, records, feed_back_fn);
+      process_elastic();
 
       // ---- Arrivals at `now`: the sorted stream head beats feedback at
-      // equal cycles (reference emission seqs order initial arrivals ahead
-      // of every feedback push); feedback ties break by push order. ---------
+      // equal cycles (every up-front arrival was emitted before any
+      // feedback reissue); feedback ties break by push order. ---------------
       while (true) {
         if (head() == now) {
           admit(std::move(buffer[buffer_pos++]));
           continue;
         }
         if (!feedback.empty() && feedback.top().at == now) {
-          // priority_queue::top is const; the element is discarded by pop.
-          Annotated a{std::move(const_cast<Feedback&>(feedback.top()).request)};
-          a.request.arrival = feedback.top().at;
-          feedback.pop();
+          Annotated a{pop_item(feedback)};
+          a.request.arrival = now;
           annotate_serial(a);
           admit(std::move(a));
           continue;
@@ -733,9 +847,63 @@ struct Server::Pipeline {
       max_depth = std::max(max_depth, scheduler->depth());
     }
     GNNERATOR_CHECK_MSG(scheduler->depth() == 0, "serve loop ended with queued work");
+    return finish();
+  }
 
-    return server.assemble_report(std::move(records), now, depth_stats, max_depth, events,
-                                  er, pool);
+  /// Report assembly, plus the end-of-run fleet reset: health/class/slow
+  /// factor restored to baselines, ephemeral autoscaler devices erased, so
+  /// repeated serve calls see the configured fleet.
+  ServeReport finish() {
+    ServeReport report;
+    report.end_cycle = now;
+    report.clock_ghz = server.options_.clock_ghz;
+    report.events = events;
+    report.scale_ups = scale_ups;
+    report.scale_downs = scale_downs;
+    Metrics metrics(server.options_.clock_ghz);
+    metrics.add_all(records, pool);
+    report.metrics = metrics.summary(now);
+    report.outcomes = std::move(records);
+    report.devices.reserve(server.devices_.size());
+    for (Device& device : server.devices_) {
+      if (server.obs_ != nullptr && device.health != DeviceHealth::kActive) {
+        // Devices ending the run crashed / scaled out close their trailing
+        // health interval here (active time needs no span — busy spans and
+        // the run bounds cover it).
+        server.obs_->health_span(server.device_index(device),
+                                 device.health == DeviceHealth::kCrashed
+                                     ? obs::DeviceSpanKind::kCrashed
+                                     : obs::DeviceSpanKind::kParked,
+                                 device.health_since, now);
+      }
+      server.flush_device_accounting(device, now);
+      device.stats.klass =
+          device.klass == kNoClass ? "" : server.device_classes_[device.klass].name;
+      report.devices.push_back(device.stats);
+      // Reset for the next serve() run: stats restart, and the fleet reverts
+      // to its configured baseline (in-run fault/autoscaler mutations are
+      // per-run; public add/remove/reclass_device set the baselines).
+      device.stats = DeviceStats{};
+      device.busy_until = 0;
+      device.health = device.baseline_health;
+      device.klass = device.baseline_klass;
+      device.slow_factor = 1.0;
+      device.health_since = 0;
+      device.inflight_ids.clear();
+      device.inflight_reqs.clear();
+    }
+    std::erase_if(server.devices_, [](const Device& device) { return device.ephemeral; });
+    report.plan_cache = server.plan_cache_->stats();
+    report.feature_cache_enabled = server.options_.feature_cache.has_value();
+    for (const auto& [name, cache] : server.feature_caches_) {
+      report.feature_cache.merge(cache.stats());
+    }
+    report.mean_queue_depth = depth_stats.count() > 0 ? depth_stats.mean() : 0.0;
+    report.max_queue_depth = max_depth;
+    if (server.obs_ != nullptr) {
+      server.obs_finish_run(report, now);
+    }
+    return report;
   }
 };
 

@@ -44,8 +44,8 @@ class WorkloadSource {
 /// arrival order — the bounded-memory contract million-request traces need.
 /// Server::serve consumes these chunk-by-chunk (at most one chunk of
 /// not-yet-admitted arrivals is in memory at a time); consumers of the base
-/// contract (Server::run_reference) still work because initial_arrivals()
-/// bridges by draining the stream.
+/// contract still work because initial_arrivals() bridges by draining the
+/// stream.
 class StreamingWorkloadSource : public WorkloadSource {
  public:
   /// Appends up to `max` further arrivals to `out`, in non-decreasing
@@ -56,7 +56,7 @@ class StreamingWorkloadSource : public WorkloadSource {
 
   /// Drains the whole stream into one vector. Defeats the bounded-memory
   /// point, but keeps every streaming source usable wherever a
-  /// WorkloadSource is expected (the reference event loop, tests).
+  /// WorkloadSource is expected (tests, materializing tools).
   std::vector<Request> initial_arrivals() final;
 };
 

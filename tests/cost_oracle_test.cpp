@@ -23,6 +23,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "sim/trace.hpp"
+#include "util/fnv.hpp"
 
 namespace gnnerator::serve {
 namespace {
@@ -55,13 +56,9 @@ Request at_cycle(Cycle arrival, core::SimulationRequest sim, double slo_ms = 0.0
 /// FNV-1a over the completion records — the cross-loop identity the oracle
 /// must preserve.
 std::uint64_t records_fingerprint(const ServeReport& report) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  };
+  util::Fnv1a fnv(util::kFnvShortBasis);
+  const auto mix = [&fnv](std::uint64_t v) { fnv.mix(v); };
+  // Each character as a full 64-bit word, the encoding the goldens pin.
   const auto mix_str = [&](const std::string& s) {
     mix(s.size());
     for (const char c : s) {
@@ -84,7 +81,7 @@ std::uint64_t records_fingerprint(const ServeReport& report) {
     mix_str(o.class_key);
   }
   mix(report.end_cycle);
-  return h;
+  return fnv.value();
 }
 
 // ------------------------------------------------------------- saturation --
@@ -223,13 +220,20 @@ TEST(CostOracle, StateFingerprintCoversMemoAndWindows) {
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
 }
 
-// ----------------------------------------------- cross-loop determinism --
+// ------------------------------------------------ determinism goldens --
 
 /// The oracle is mutated only at sequential event points, so its end-of-run
-/// state — and every record decided from it — must be identical between
-/// run_reference and serve at any sim_threads, with tiers, a heterogeneous
-/// fleet, and a fault plan in play.
-TEST(CostOracleServe, OracleStateIdenticalAcrossLoopsAndThreads) {
+/// state — and every record decided from it — must match the pinned
+/// goldens at any sim_threads, with tiers, a heterogeneous fleet, and a
+/// fault plan in play. The goldens (record digest, oracle state_fingerprint)
+/// were recorded from the retired single-threaded reference event loop.
+TEST(CostOracleServe, OracleStateMatchesGoldenAcrossThreads) {
+  struct Golden {
+    const char* records;
+    const char* oracle;
+  };
+  const Golden healthy{"225ca3eae948a91e", "db11596e085f1e6c"};
+  const Golden faulted{"cbcbe67cf50638eb", "7a62c874365cb904"};
   for (const bool with_faults : {false, true}) {
     SCOPED_TRACE(with_faults ? "faulted" : "healthy");
     const auto make_options = [&] {
@@ -244,7 +248,7 @@ TEST(CostOracleServe, OracleStateIdenticalAcrossLoopsAndThreads) {
       }
       return options;
     };
-    const auto run = [&](bool reference, std::size_t threads) {
+    const auto run = [&](std::size_t threads) {
       ServerOptions options = make_options();
       options.sim_threads = threads;
       Server server(options);
@@ -263,19 +267,17 @@ TEST(CostOracleServe, OracleStateIdenticalAcrossLoopsAndThreads) {
       }
       PoissonWorkload workload(mix, /*rate_rps=*/12000.0, /*num_requests=*/120,
                                options.clock_ghz, /*seed=*/99);
-      const ServeReport report =
-          reference ? server.run_reference(workload) : server.serve(workload);
-      return std::pair{records_fingerprint(report),
-                       server.cost_oracle().state_fingerprint()};
+      const ServeReport report = server.serve(workload);
+      return std::pair{util::hex64(records_fingerprint(report)),
+                       util::hex64(server.cost_oracle().state_fingerprint())};
     };
 
-    const auto [ref_records, ref_oracle] = run(/*reference=*/true, 1);
-    EXPECT_GT(ref_oracle, 0u);
+    const Golden& expected = with_faults ? faulted : healthy;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-      const auto [records, oracle] = run(/*reference=*/false, threads);
-      EXPECT_EQ(records, ref_records);
-      EXPECT_EQ(oracle, ref_oracle);
+      const auto [records, oracle] = run(threads);
+      EXPECT_EQ(records, expected.records);
+      EXPECT_EQ(oracle, expected.oracle);
     }
   }
 }

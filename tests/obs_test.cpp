@@ -2,10 +2,9 @@
 // numbers, writer nesting), the metrics Registry (counter/gauge/histogram
 // semantics and the deterministic text exposition), the ExecWindowLog EWMA,
 // request-span lifecycle invariants over real serve runs, Chrome-trace
-// well-formedness, and the central determinism claim — the exported trace is
-// byte-identical between Server::serve and Server::run_reference at every
-// sim_threads, including under a fault plan — plus a golden structure test
-// for crash/abort/requeue/resume spans.
+// well-formedness, and the central determinism claim — the exported trace
+// matches pinned golden bytes at every sim_threads, including under a fault
+// plan — plus a golden structure test for crash/abort/requeue/resume spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +26,7 @@
 #include "serve/faults.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "util/fnv.hpp"
 #include "util/json.hpp"
 
 namespace gnnerator::obs {
@@ -235,21 +235,20 @@ Server make_server(const ServerOptions& options) {
 
 /// One serve run with a fresh server and a fresh recorder (cold memos on
 /// both sides — engine-window templates are captured on first execution, so
-/// differential comparisons must not share state).
+/// runs compared against each other or a golden must not share state).
 struct RecordedRun {
   std::shared_ptr<Recorder> recorder;
   ServeReport report;
 };
 
-RecordedRun recorded_run(ServerOptions options, bool reference, std::size_t requests,
-                         double rate, std::uint64_t seed,
-                         RecorderOptions rec_options = {}) {
+RecordedRun recorded_run(ServerOptions options, std::size_t requests, double rate,
+                         std::uint64_t seed, RecorderOptions rec_options = {}) {
   RecordedRun run;
   run.recorder = std::make_shared<Recorder>(rec_options);
   options.recorder = run.recorder;
   Server server = make_server(options);
   PoissonWorkload workload(cora_mix(), rate, requests, options.clock_ghz, seed);
-  run.report = reference ? server.run_reference(workload) : server.serve(workload);
+  run.report = server.serve(workload);
   return run;
 }
 
@@ -395,7 +394,7 @@ TEST(ObsServe, SpanLifecycleInvariantsHold) {
   ServerOptions options;
   options.num_devices = 2;
   options.queue_capacity = 8;  // force some admission sheds
-  const RecordedRun run = recorded_run(options, /*reference=*/false, /*requests=*/300,
+  const RecordedRun run = recorded_run(options, /*requests=*/300,
                                        /*rate=*/40'000.0, /*seed=*/11);
   const std::vector<SpanEvent>& events = run.recorder->span_events();
   ASSERT_FALSE(events.empty());
@@ -464,7 +463,7 @@ TEST(ObsServe, SpanLifecycleInvariantsHold) {
 TEST(ObsServe, DeviceTimelineCoversBusyTimeExactly) {
   ServerOptions options;
   options.num_devices = 2;
-  const RecordedRun run = recorded_run(options, /*reference=*/false, /*requests=*/120,
+  const RecordedRun run = recorded_run(options, /*requests=*/120,
                                        /*rate=*/20'000.0, /*seed=*/23);
   std::vector<std::uint64_t> busy(run.report.devices.size(), 0);
   for (const DeviceSpan& s : run.recorder->device_spans()) {
@@ -491,7 +490,7 @@ TEST(ObsServe, NullSinkRecorderRecordsNothingAndChangesNothing) {
   off.exec_windows = false;
   ASSERT_FALSE(off.any());
 
-  const RecordedRun muted = recorded_run(options, /*reference=*/false, /*requests=*/80,
+  const RecordedRun muted = recorded_run(options, /*requests=*/80,
                                          /*rate=*/20'000.0, /*seed=*/29, off);
   EXPECT_TRUE(muted.recorder->span_events().empty());
   EXPECT_TRUE(muted.recorder->device_spans().empty());
@@ -516,7 +515,7 @@ TEST(ObsServe, MaxEventsCapsTheStreamAndCountsDrops) {
   options.num_devices = 1;
   RecorderOptions rec;
   rec.max_events = 10;
-  const RecordedRun run = recorded_run(options, /*reference=*/false, /*requests=*/100,
+  const RecordedRun run = recorded_run(options, /*requests=*/100,
                                        /*rate=*/20'000.0, /*seed=*/31, rec);
   EXPECT_LE(run.recorder->span_events().size(), 10u);
   EXPECT_GT(run.recorder->dropped(), 0u);
@@ -559,7 +558,7 @@ TEST(ChromeTrace, OutputIsWellFormedJson) {
   options.num_devices = 2;
   RecorderOptions rec;
   rec.engine_spans = true;
-  const RecordedRun run = recorded_run(options, /*reference=*/false, /*requests=*/150,
+  const RecordedRun run = recorded_run(options, /*requests=*/150,
                                        /*rate=*/20'000.0, /*seed=*/41, rec);
   const std::string trace = chrome_trace_string(*run.recorder);
   EXPECT_TRUE(JsonChecker(trace).valid()) << trace.substr(0, 400);
@@ -599,7 +598,9 @@ TEST(ChromeTrace, EscapesHostileLabels) {
 
 // ---- Determinism: the tentpole claim -------------------------------------------
 
-TEST(ChromeTrace, BytesIdenticalAcrossLoopsAndThreadsUnderFaults) {
+/// The goldens (trace bytes, registry snapshot) were recorded from the
+/// retired single-threaded reference event loop.
+TEST(ChromeTrace, BytesMatchGoldenAcrossThreadsUnderFaults) {
   ServerOptions options;
   options.num_devices = 2;
   options.default_slo_ms = 25.0;
@@ -609,23 +610,18 @@ TEST(ChromeTrace, BytesIdenticalAcrossLoopsAndThreadsUnderFaults) {
   RecorderOptions rec;
   rec.engine_spans = true;
 
-  const auto trace_of = [&](bool reference, std::size_t threads) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     ServerOptions o = options;
     o.sim_threads = threads;
-    const RecordedRun run = recorded_run(o, reference, /*requests=*/250,
-                                         /*rate=*/30'000.0, /*seed=*/47, rec);
-    return std::pair<std::string, std::string>(
-        chrome_trace_string(*run.recorder), run.recorder->registry().text_snapshot());
-  };
-
-  const auto [ref_trace, ref_metrics] = trace_of(/*reference=*/true, 1);
-  ASSERT_FALSE(ref_trace.empty());
-  EXPECT_TRUE(JsonChecker(ref_trace).valid());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const auto [trace, metrics] = trace_of(/*reference=*/false, threads);
-    EXPECT_EQ(trace, ref_trace) << "trace bytes diverged at sim_threads=" << threads;
-    EXPECT_EQ(metrics, ref_metrics)
-        << "registry snapshot diverged at sim_threads=" << threads;
+    const RecordedRun run =
+        recorded_run(o, /*requests=*/250, /*rate=*/30'000.0, /*seed=*/47, rec);
+    const std::string trace = chrome_trace_string(*run.recorder);
+    EXPECT_TRUE(JsonChecker(trace).valid());
+    EXPECT_EQ(trace.size(), 1485578u);
+    EXPECT_EQ(util::hex64(util::fnv1a64(trace)), "f995392307d4a21d") << "trace bytes diverged";
+    EXPECT_EQ(util::hex64(util::fnv1a64(run.recorder->registry().text_snapshot())), "465243d34ba2f218")
+        << "registry snapshot diverged";
   }
 }
 
@@ -645,7 +641,7 @@ TEST(ObsFaults, CrashProducesAbortRequeueResumeStructure) {
   };
   Server probe = make_server(options);
   PoissonWorkload probe_workload = workload_for(options);
-  const ServeReport probe_report = probe.run_reference(probe_workload);
+  const ServeReport probe_report = probe.serve(probe_workload);
   const serve::Outcome* victim = nullptr;
   for (const serve::Outcome& o : probe_report.outcomes) {
     if (o.completion > o.dispatch + 2) {

@@ -1,7 +1,9 @@
 // Pins the paper reproduction: the 18 Fig. 3 cycle counts (9 benchmark
 // points, with and without feature blocking), the 6 Table V HyGCN GCN cycle
-// counts (with and without sparsity elimination), and the Fig. 3 Gmean
-// speedups over the GPU model against the paper's 8.0x / 4.2x.
+// counts (with and without sparsity elimination), the Fig. 3 Gmean
+// speedups over the GPU model against the paper's 8.0x / 4.2x, and the 36
+// Fig. 5 scaling-variant cycle counts (9 GCN points x 4 hardware variants
+// at B = 64) with their Gmean speedups.
 //
 // Cycle counts are deterministic, so they are pinned exactly: a refactor of
 // the compiler, the shard grid or the HyGCN model that moves one cycle fails
@@ -14,6 +16,7 @@
 
 #include "baseline/gpu_model.hpp"
 #include "baseline/hygcn_model.hpp"
+#include "core/config.hpp"
 #include "core/gnnerator.hpp"
 #include "graph/datasets.hpp"
 #include "util/stats.hpp"
@@ -110,6 +113,60 @@ TEST(PaperRepro, Table5HygcnGcnCycles) {
     EXPECT_EQ(baseline::HygcnModel(without).simulate_cycles(ds.graph, model),
               row.without_elimination);
   }
+}
+
+/// Fig. 5: GCN at hidden {16, 128, 1024} on the three datasets under the
+/// base config and three next-generation variants, with the dataflow held at
+/// B = 64 (the points bench/fig5_scaling.cpp runs).
+TEST(PaperRepro, Fig5ScalingVariantCycles) {
+  struct Row {
+    const char* dataset;
+    std::size_t hidden;
+    std::uint64_t base;
+    std::uint64_t graph_mem;  // 2x Graph Engine memory
+    std::uint64_t dense;      // 2x Dense Engine compute
+    std::uint64_t bw;         // 2x feature-memory bandwidth
+  };
+  const std::vector<Row> rows = {
+      {"cora", 16, 75455, 75455, 75455, 72846},
+      {"citeseer", 16, 213043, 213043, 213043, 209987},
+      {"pubmed", 16, 248435, 228275, 248435, 209622},
+      {"cora", 128, 153547, 153547, 88443, 147434},
+      {"citeseer", 128, 432492, 432492, 232236, 425159},
+      {"pubmed", 128, 762531, 734096, 615601, 578522},
+      {"cora", 1024, 1927696, 1927696, 1181264, 1863315},
+      {"citeseer", 1024, 5828009, 5828009, 3526121, 5630850},
+      {"pubmed", 1024, 5129421, 5053946, 3253517, 4900065},
+  };
+  const core::AcceleratorConfig base = core::AcceleratorConfig::table4();
+  const core::AcceleratorConfig variants[] = {base, base.with_double_graph_memory(),
+                                              base.with_double_dense_compute(),
+                                              base.with_double_bandwidth()};
+  std::vector<double> speedups[3];
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.dataset) + "-" + std::to_string(row.hidden));
+    const graph::Dataset ds = graph::make_dataset_by_name(row.dataset, 1, false);
+    const gnn::ModelSpec model = core::table3_model(gnn::LayerKind::kGcn, ds.spec, row.hidden);
+    std::uint64_t cycles[4];
+    for (std::size_t v = 0; v < 4; ++v) {
+      core::SimulationRequest request;
+      request.config = variants[v];
+      request.dataflow.block_size = 64;
+      cycles[v] = core::simulate_gnnerator(ds, model, request).cycles;
+    }
+    EXPECT_EQ(cycles[0], row.base);
+    EXPECT_EQ(cycles[1], row.graph_mem);
+    EXPECT_EQ(cycles[2], row.dense);
+    EXPECT_EQ(cycles[3], row.bw);
+    for (std::size_t v = 1; v < 4; ++v) {
+      speedups[v - 1].push_back(static_cast<double>(cycles[0]) /
+                                static_cast<double>(cycles[v]));
+    }
+  }
+  // Gmean speedups over base (paper: ~1.1x mem, ~1.4x dense, ~1.4x bw).
+  EXPECT_NEAR(util::geomean(speedups[0]), 1.015, 5e-4);
+  EXPECT_NEAR(util::geomean(speedups[1]), 1.370, 5e-4);
+  EXPECT_NEAR(util::geomean(speedups[2]), 1.077, 5e-4);
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ TEST(ServeFault, CrashMidBatchRequeuesExactlyTheAbortedRequests) {
   // Probe: find a batch that runs long enough to crash into.
   Server probe = make_server(options);
   PoissonWorkload probe_workload = workload_for(options);
-  const ServeReport probe_report = probe.run_reference(probe_workload);
+  const ServeReport probe_report = probe.serve(probe_workload);
   ASSERT_EQ(probe_report.metrics.completed, kRequests);
   const Outcome* victim = nullptr;
   for (const Outcome& o : probe_report.outcomes) {

@@ -21,6 +21,13 @@
 // baseline: a fleet whose device classes are all identical to the default
 // config must reproduce the homogeneous Server's completion records
 // *bitwise*, for every policy.
+//
+// Golden pins hold the event loop itself to recorded truth: policy x fleet,
+// fault-plan, closed-loop and sampled scenarios must reproduce pinned
+// FNV-1a-64 report fingerprints at sim_threads 1, 2 and 4. The goldens were
+// recorded from the retired single-threaded reference event loop that
+// serve() used to be differentially tested against; an intended behaviour
+// change updates them with review.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +42,7 @@
 #include "serve/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "util/fnv.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -385,20 +393,26 @@ TEST(ServeProperty, IdenticalClassFleetMatchesHomogeneousBitwise) {
   }
 }
 
-/// The differential matrix for the parallel serving pipeline: every policy
-/// x fleet shape x sim_threads count must reproduce the trusted
-/// single-threaded Server::run_reference loop *byte for byte* — completion
-/// records, metrics at reporting precision, plan-cache counters, queue
-/// depth, event counts, everything report_fingerprint folds in. Fresh
-/// servers per run: the plan cache and memos staying warm across calls is
-/// part of the report, so the two paths may only be compared from equal
-/// starting states.
-TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) {
+/// The golden matrix: every policy x fleet shape x sim_threads count must
+/// reproduce its pinned report *byte for byte* — completion records,
+/// metrics at reporting precision, plan-cache counters, queue depth, event
+/// counts, everything report_fingerprint folds in. Fresh servers per run:
+/// the plan cache and memos staying warm across calls is part of the
+/// report, so runs may only be compared from equal starting states.
+TEST(ServeGolden, PoliciesAndFleetsMatchGoldenAcrossThreads) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kDynamicBatch,
                                        SchedulingPolicy::kAffinity};
+  // [policy][homogeneous, mixed fleet]
+  const char* const goldens[4][2] = {
+      {"2f2a5a7b265efe1f", "68afd4bd087750a9"},  // fifo
+      {"1703d867a288886e", "d94b7120b6ace6d6"},  // sjf
+      {"1bc24e212074ac82", "411628bbea5eaa20"},  // batch
+      {"7fd267cd655396ca", "e96ac4f70846eb4e"},  // affinity
+  };
   std::uint64_t seed = 500;
-  for (const SchedulingPolicy policy : policies) {
+  for (std::size_t p = 0; p < 4; ++p) {
+    const SchedulingPolicy policy = policies[p];
     for (const bool mixed_fleet : {false, true}) {
       ServerOptions options;
       options.policy = policy;
@@ -413,7 +427,7 @@ TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) 
       }
       ++seed;
 
-      const auto run = [&](bool reference, std::size_t sim_threads) {
+      const auto run = [&](std::size_t sim_threads) {
         ServerOptions o = options;
         o.sim_threads = sim_threads;
         Server server(o);
@@ -427,16 +441,16 @@ TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) 
         }
         PoissonWorkload workload(mix, /*rate_rps=*/15000.0, /*num_requests=*/150,
                                  o.clock_ghz, seed);
-        return reference ? server.run_reference(workload) : server.serve(workload);
+        return server.serve(workload);
       };
 
-      const std::string expected = report_fingerprint(run(/*reference=*/true, 1));
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         SCOPED_TRACE(std::string(policy_name(policy)) +
                      (mixed_fleet ? " mixed-fleet" : " homogeneous") + " sim_threads=" +
                      std::to_string(threads));
-        EXPECT_EQ(report_fingerprint(run(/*reference=*/false, threads)), expected)
-            << "pipeline diverged from run_reference";
+        EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(run(threads)))),
+                  goldens[p][mixed_fleet ? 1 : 0])
+            << "serve() diverged from the golden report";
       }
     }
   }
@@ -444,14 +458,17 @@ TEST(ServeDifferential, PipelineMatchesReferenceAcrossPoliciesFleetsAndThreads) 
 
 /// Fault plans are part of the determinism contract: a random schedule of
 /// crash/slow/recover events (optionally with an autoscaler on top) must
-/// produce the identical report from the trusted reference loop and from
-/// the pipeline at every thread count — aborts, requeues, backoff, retry
-/// exhaustion, fleet mutations and all. Every run must also conserve
-/// requests: completed + shed + failed == submitted, one record per id.
-TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
+/// reproduce the pinned report at every thread count — aborts, requeues,
+/// backoff, retry exhaustion, fleet mutations and all. Every run must also
+/// conserve requests: completed + shed + failed == submitted, one record
+/// per id.
+TEST(ServeGolden, RandomFaultPlansMatchGoldenAcrossThreads) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kDynamicBatch,
                                        SchedulingPolicy::kAffinity};
+  // Indexed by seed - 900.
+  const char* const goldens[] = {"ce3edc4e4429c3c1", "cad7c9d016c1547c", "888331b84cdf590c",
+                                 "5c2b93ffcecaea7c", "94b33f4245a0a320", "695929e6391ea1b1"};
   for (std::uint64_t seed = 900; seed < 906; ++seed) {
     util::Prng prng(seed);
     ServerOptions options;
@@ -498,7 +515,7 @@ TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
     }
     const std::size_t num_requests = 80 + prng.uniform_u64(60);
 
-    const auto run = [&](bool reference, std::size_t sim_threads) {
+    const auto run = [&](std::size_t sim_threads) {
       ServerOptions o = options;
       o.sim_threads = sim_threads;
       Server server(o);
@@ -511,26 +528,20 @@ TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
       }
       PoissonWorkload workload(mix, /*rate_rps=*/10'000.0, num_requests, o.clock_ghz,
                                seed * 13);
-      return reference ? server.run_reference(workload) : server.serve(workload);
+      return server.serve(workload);
     };
 
-    const ServeReport expected_report = run(/*reference=*/true, 1);
-    const std::string expected = report_fingerprint(expected_report);
-    EXPECT_EQ(expected_report.metrics.completed + expected_report.metrics.shed +
-                  expected_report.metrics.failed,
-              num_requests)
-        << "reference run lost requests under plan '" << plan.str() << "'";
-    EXPECT_EQ(expected_report.outcomes.size(), num_requests);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " plan=" + plan.str() +
                    " policy=" + std::string(policy_name(options.policy)) +
                    " autoscale=" + (options.autoscale ? "y" : "n") +
                    " sim_threads=" + std::to_string(threads));
-      const ServeReport got = run(/*reference=*/false, threads);
-      EXPECT_EQ(report_fingerprint(got), expected)
-          << "pipeline diverged from run_reference under a fault plan";
+      const ServeReport got = run(threads);
+      EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(got))), goldens[seed - 900])
+          << "serve() diverged from the golden report under a fault plan";
       EXPECT_EQ(got.metrics.completed + got.metrics.shed + got.metrics.failed,
                 num_requests);
+      EXPECT_EQ(got.outcomes.size(), num_requests);
     }
   }
 }
@@ -539,16 +550,16 @@ TEST(ServeDifferential, RandomFaultPlansMatchReferenceAcrossThreads) {
 /// re-arms a client through the workload's PRNG, so any reordering of
 /// completion records (or of feedback vs streamed arrivals at equal
 /// cycles) changes the RNG draw sequence and cascades through the rest of
-/// the run. The pipeline must replay it exactly, with SLO tiers on a
-/// heterogeneous fleet for good measure.
-TEST(ServeDifferential, ClosedLoopFeedbackMatchesReference) {
+/// the run. The loop must replay it exactly at every thread count, with SLO
+/// tiers on a heterogeneous fleet for good measure.
+TEST(ServeGolden, ClosedLoopFeedbackMatchesGolden) {
   ServerOptions options;
   options.policy = SchedulingPolicy::kSjf;
   options.fleet = parse_fleet_spec("1xbaseline,1xnextgen");
   options.classes = parse_class_spec("interactive:3:4:1,bulk:0:1:0");
   options.default_slo_ms = 2.0;
 
-  const auto run = [&](bool reference, std::size_t sim_threads) {
+  const auto run = [&](std::size_t sim_threads) {
     ServerOptions o = options;
     o.sim_threads = sim_threads;
     Server server(o);
@@ -564,20 +575,18 @@ TEST(ServeDifferential, ClosedLoopFeedbackMatchesReference) {
     // instance per run, same seed.
     ClosedLoopWorkload workload(mix, /*num_clients=*/6, /*total_requests=*/120,
                                 /*think_ms=*/0.3, o.clock_ghz, /*seed=*/4242);
-    return reference ? server.run_reference(workload) : server.serve(workload);
+    return server.serve(workload);
   };
 
-  const std::string expected = report_fingerprint(run(/*reference=*/true, 1));
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    EXPECT_EQ(report_fingerprint(run(/*reference=*/false, threads)), expected);
+    EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(run(threads)))), "bf1af893eb80452c");
   }
 }
 
 /// The cost oracle memoizes per (plan class, device class): however many
 /// requests stream through, the analytic compiler pipeline runs exactly
-/// once per distinct pair — flat in trace length, across serve() calls,
-/// and identical between the pipeline and the reference loop.
+/// once per distinct pair — flat in trace length and across serve() calls.
 TEST(ServeCostOracle, PipelineRunsOncePerPlanAndDeviceClass) {
   const auto make_mix = [] {
     std::vector<RequestTemplate> mix;
@@ -620,18 +629,6 @@ TEST(ServeCostOracle, PipelineRunsOncePerPlanAndDeviceClass) {
     PoissonWorkload again(make_mix(), 8000.0, 240, options.clock_ghz, 12);
     (void)server.serve(again);
     EXPECT_EQ(server.cost_oracle_runs(), 4u);
-  }
-
-  // The reference loop prices identically (differential on the counter).
-  {
-    ServerOptions options;
-    options.num_devices = 2;
-    options.policy = SchedulingPolicy::kSjf;
-    Server server(options);
-    server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
-    PoissonWorkload workload(make_mix(), 8000.0, 40, options.clock_ghz, 9);
-    (void)server.run_reference(workload);
-    EXPECT_EQ(server.cost_oracle_runs(), 2u);
   }
 }
 
@@ -806,16 +803,27 @@ TEST(ServeProperty, PerClassQuantileEdgeRegimes) {
 
 /// Sampled mini-batch serving joins the determinism contract: sampled
 /// workloads (per-request seed vertex + fanout) with mixed-batch fusion and
-/// the pre-sampling feature cache enabled must reproduce the trusted
-/// reference loop byte for byte at every sim_threads count — the fused
-/// batch compositions, the cache counters the report folds in, and the
-/// per-seed outputs scattered out of fused device passes. Every run must
-/// also conserve requests: completed + shed + failed == submitted, in the
-/// totals and per request class.
-TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
+/// the pre-sampling feature cache enabled must reproduce the pinned
+/// goldens byte for byte at every sim_threads count — the fused batch
+/// compositions, the cache counters the report folds in, and the per-seed
+/// outputs scattered out of fused device passes. Every run must also
+/// conserve requests: completed + shed + failed == submitted, in the totals
+/// and per request class.
+TEST(ServeGolden, SampledWorkloadsMatchGoldenAcrossThreads) {
   const SchedulingPolicy policies[] = {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf,
                                        SchedulingPolicy::kDynamicBatch,
                                        SchedulingPolicy::kAffinity};
+  struct Golden {
+    const char* report;
+    const char* results;
+  };
+  // [policy][homogeneous, mixed fleet]
+  const Golden goldens[4][2] = {
+      {{"b7ce935ef4f5a170", "9afe2f9adba4360f"}, {"7e9521c216a046f8", "04f85da497b0242b"}},
+      {{"6ee3758f06840abd", "f27dc1490a11d3ff"}, {"86afd5188e70b9d5", "e92235a1c00726a8"}},
+      {{"b2e1b5a8ac7fe871", "e628c8836d3568ba"}, {"11a316ef32d1947b", "b37a505d99f422b5"}},
+      {{"ec444ea1dd992e7e", "111a0eb9700e2481"}, {"b9c5d52c9bc3055f", "13b4a722f6468c4a"}},
+  };
 
   // Scattered per-seed outputs, bitwise (they ride outside report_fingerprint).
   const auto result_fingerprint = [](const ServeReport& report) {
@@ -838,7 +846,8 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
   };
 
   std::uint64_t seed = 900;
-  for (const SchedulingPolicy policy : policies) {
+  for (std::size_t p = 0; p < 4; ++p) {
+    const SchedulingPolicy policy = policies[p];
     for (const bool mixed_fleet : {false, true}) {
       ServerOptions options;
       options.policy = policy;
@@ -860,7 +869,7 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
       }
       ++seed;
 
-      const auto run = [&](bool reference, std::size_t sim_threads) {
+      const auto run = [&](std::size_t sim_threads) {
         ServerOptions o = options;
         o.sim_threads = sim_threads;
         Server server(o);
@@ -881,8 +890,7 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
         }
         SampledQueryWorkload workload(std::move(entries), /*rate_rps=*/15000.0,
                                       /*num_requests=*/120, o.clock_ghz, seed);
-        const ServeReport report =
-            reference ? server.run_reference(workload) : server.serve(workload);
+        const ServeReport report = server.serve(workload);
 
         // Conservation, total and per class.
         EXPECT_EQ(report.metrics.completed + report.metrics.shed + report.metrics.failed,
@@ -923,19 +931,17 @@ TEST(ServeDifferential, SampledWorkloadsMatchReferenceAcrossThreads) {
         return report;
       };
 
-      const ServeReport expected = run(/*reference=*/true, 1);
-      const std::string expected_fp = report_fingerprint(expected);
-      const std::string expected_results = result_fingerprint(expected);
-      EXPECT_GT(expected.feature_cache.hits + expected.feature_cache.misses, 0u);
+      const Golden& golden = goldens[p][mixed_fleet ? 1 : 0];
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         SCOPED_TRACE(std::string(policy_name(policy)) +
                      (mixed_fleet ? " mixed-fleet" : " homogeneous") + " sim_threads=" +
                      std::to_string(threads));
-        const ServeReport actual = run(/*reference=*/false, threads);
-        EXPECT_EQ(report_fingerprint(actual), expected_fp)
-            << "sampled pipeline diverged from run_reference";
-        EXPECT_EQ(result_fingerprint(actual), expected_results)
-            << "scattered per-seed outputs diverged from run_reference";
+        const ServeReport actual = run(threads);
+        EXPECT_GT(actual.feature_cache.hits + actual.feature_cache.misses, 0u);
+        EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(actual))), golden.report)
+            << "sampled serve() diverged from the golden report";
+        EXPECT_EQ(util::hex64(util::fnv1a64(result_fingerprint(actual))), golden.results)
+            << "scattered per-seed outputs diverged from the golden";
       }
     }
   }

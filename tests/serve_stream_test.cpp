@@ -5,10 +5,10 @@
 //   * determinism    — a (TraceSpec, seed) pair generates byte-identical
 //                      files, so committed benchmark numbers are
 //                      reproducible;
-//   * equivalence    — replaying a trace through the streaming source and
-//                      the parallel pipeline produces the identical report
-//                      to materializing it with TraceWorkload::from_file
-//                      and running the reference loop;
+//   * equivalence    — replaying a trace through the streaming source
+//                      produces the identical report to materializing it
+//                      with TraceWorkload::from_file, at every sim_threads,
+//                      and both match a pinned golden fingerprint;
 //   * bounded memory — a >100k-row trace streams with the reader's buffer
 //                      high-water mark bounded by one chunk plus one row,
 //                      never by the trace size;
@@ -27,6 +27,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace gnnerator::serve {
 namespace {
@@ -99,8 +100,8 @@ TEST(SyntheticTrace, GenerationIsDeterministicInSpecAndSeed) {
 
 /// A generated sampled trace (seed,fanout column pair) round-trips through
 /// both trace readers: every row parses back as a sampled request of the
-/// spec'd fanout with an in-range seed, and the streaming replay of the
-/// file reproduces the materialized reference run byte for byte.
+/// spec'd fanout with an in-range seed, and the materialized and streaming
+/// replays both reproduce the pinned golden report byte for byte.
 TEST(SyntheticTrace, SampledTraceRoundTripsThroughBothReaders) {
   TraceSpec spec;
   spec.num_requests = 400;
@@ -122,25 +123,26 @@ TEST(SyntheticTrace, SampledTraceRoundTripsThroughBothReaders) {
     EXPECT_LT(static_cast<std::uint64_t>(r.seed), ds->num_nodes);
   }
 
-  std::string expected;
+  // Recorded from the retired single-threaded reference event loop.
+  const std::string expected = "070955458de9777c";
   {
     Server server = make_server(/*sim_threads=*/1);
-    expected = report_fingerprint(server.run_reference(materialized));
+    EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(server.serve(materialized)))), expected);
   }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     Server server = make_server(threads);
     StreamingTraceWorkload workload(trace.path, base, 1.0, /*chunk_bytes=*/512);
-    EXPECT_EQ(report_fingerprint(server.serve(workload)), expected);
+    EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(server.serve(workload)))), expected);
     EXPECT_EQ(workload.rows_streamed(), spec.num_requests);
   }
 }
 
 /// The bounded-memory path and the materialize-everything path are the
-/// same simulation: streaming a generated trace through serve() (parallel
-/// pipeline) reproduces TraceWorkload::from_file through run_reference
-/// byte for byte, on fresh servers.
-TEST(StreamingTrace, ReplayMatchesMaterializedReferenceRun) {
+/// same simulation: streaming a generated trace through serve() reproduces
+/// TraceWorkload::from_file byte for byte, on fresh servers, and both match
+/// the pinned golden.
+TEST(StreamingTrace, ReplayMatchesMaterializedRunAndGolden) {
   TraceSpec spec;
   spec.num_requests = 1500;
   spec.rate_rps = 15'000.0;
@@ -150,19 +152,20 @@ TEST(StreamingTrace, ReplayMatchesMaterializedReferenceRun) {
   ASSERT_EQ(write_synthetic_trace(trace.path, spec), spec.num_requests);
 
   const core::SimulationRequest base;
-  std::string expected;
+  // Recorded from the retired single-threaded reference event loop.
+  const std::string expected = "73134154cd6008a7";
   {
     Server server = make_server(/*sim_threads=*/1);
     TraceWorkload workload = TraceWorkload::from_file(trace.path, base, 1.0);
     ASSERT_EQ(workload.size(), spec.num_requests);
-    expected = report_fingerprint(server.run_reference(workload));
+    EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(server.serve(workload)))), expected);
   }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     Server server = make_server(threads);
     // A deliberately small chunk so the run crosses many refill boundaries.
     StreamingTraceWorkload workload(trace.path, base, 1.0, /*chunk_bytes=*/512);
-    EXPECT_EQ(report_fingerprint(server.serve(workload)), expected);
+    EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(server.serve(workload)))), expected);
     EXPECT_EQ(workload.rows_streamed(), spec.num_requests);
   }
 }

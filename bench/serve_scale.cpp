@@ -11,12 +11,12 @@
 //   * bitwise identity — every run (all trials, all thread counts) must
 //     produce the identical report, completion record for completion
 //     record; threads are an optimization, never a semantic change;
-//   * golden report — at the configuration CI runs (--requests 20000,
-//     defaults otherwise) the report fingerprint must equal the one
-//     recorded from the retired single-threaded reference event loop.
+//   * golden report — at the configurations CI runs (--requests 20000,
+//     defaults otherwise, under --policy fifo and --policy affinity) the
+//     report fingerprint must equal the pinned golden.
 //
 //   ./serve_scale [--json BENCH_serve_scale.json] [--requests N]
-//                 [--devices N] [--rate RPS] [--policy fifo|sjf|batch]
+//                 [--devices N] [--rate RPS] [--policy fifo|sjf|batch|affinity]
 //                 [--keep-trace]
 #include <chrono>
 #include <cstdint>
@@ -119,8 +119,13 @@ RunResult run_once(const serve::ServerOptions& options, const std::string& warm_
   return r;
 }
 
-/// The report fingerprint at the configuration CI runs, recorded from the
-/// retired single-threaded reference event loop.
+/// The report fingerprint at the configurations CI runs. The fifo run was
+/// recorded from the retired single-threaded reference event loop, the
+/// affinity run from the string-keyed placer that preceded the id-keyed
+/// cost query. They pin the same report: on this fleet of identical
+/// devices an idle device always finishes first, so earliest-finish
+/// placement sends each request, in queue order, to the lowest-index idle
+/// device — exactly FIFO dispatch.
 constexpr std::size_t kGoldenRequests = 20'000;
 constexpr std::uint64_t kGoldenFingerprint = 0xa1fa26b431d881b1ULL;
 
@@ -217,7 +222,9 @@ int main(int argc, char** argv) {
   json.set("gates.reports_identical", static_cast<std::uint64_t>(identical ? 1 : 0));
   const bool golden = bench::golden_gate(
       json, "report",
-      requests == kGoldenRequests && devices == 4 && rate == 20'000.0 && policy_name == "fifo",
+      requests == kGoldenRequests && devices == 4 && rate == 20'000.0 &&
+          (*policy == serve::SchedulingPolicy::kFifo ||
+           *policy == serve::SchedulingPolicy::kAffinity),
       kGoldenFingerprint, fingerprint);
 
   std::cout << table.to_string();

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/compiler.hpp"
+#include "util/check.hpp"
 #include "util/fnv.hpp"
 
 namespace gnnerator::core {
@@ -13,29 +14,37 @@ namespace gnnerator::core {
 CostOracle::CostOracle(CostOracleOptions options)
     : options_(options), windows_(options.ewma_alpha) {}
 
-std::uint64_t CostOracle::analytic(const graph::Dataset& dataset, const SimulationRequest& sim,
-                                   const std::string& class_key) {
-  if (const auto it = memo_.find(class_key); it != memo_.end()) {
+CostOracle::Id CostOracle::intern(std::string_view key) {
+  if (const auto it = ids_.find(key); it != ids_.end()) {
     return it->second;
   }
-  const std::uint64_t estimate = compute(dataset, sim);
-  memo_.emplace(class_key, estimate);
-  pipeline_runs_ += 1;
-  return estimate;
+  const auto id = static_cast<Id>(keys_.size());
+  ids_.emplace(std::string(key), id);
+  keys_.emplace_back(key);
+  prior_.push_back(0);
+  windows_by_identity_.emplace_back();
+  return id;
 }
 
-std::optional<std::uint64_t> CostOracle::lookup(std::string_view class_key) const {
-  const auto it = memo_.find(class_key);
-  if (it == memo_.end()) {
+std::uint64_t CostOracle::analytic(const graph::Dataset& dataset, const SimulationRequest& sim,
+                                   Id identity) {
+  if (prior_[identity] == 0) {
+    prime(identity, compute(dataset, sim));
+  }
+  return prior_[identity];
+}
+
+std::optional<std::uint64_t> CostOracle::lookup(Id identity) const {
+  if (prior_[identity] == 0) {
     return std::nullopt;
   }
-  return it->second;
+  return prior_[identity];
 }
 
-void CostOracle::prime(const std::string& class_key, std::uint64_t estimate) {
-  const auto [it, inserted] = memo_.try_emplace(class_key, estimate);
-  (void)it;
-  if (inserted) {
+void CostOracle::prime(Id identity, std::uint64_t estimate) {
+  GNNERATOR_CHECK_MSG(estimate > 0, "analytic priors are at least one cycle");
+  if (prior_[identity] == 0) {
+    prior_[identity] = estimate;
     pipeline_runs_ += 1;
   }
 }
@@ -62,18 +71,51 @@ std::uint64_t CostOracle::saturate_cycles(double cycles) {
   return static_cast<std::uint64_t>(std::llround(cycles));
 }
 
-void CostOracle::observe(const std::string& plan_class, const std::string& device_class,
-                         std::uint64_t cycles) {
-  windows_.record(plan_class, device_class, cycles);
+std::uint64_t CostOracle::query(Id plan_class, Id identity, Mode mode) const {
+  const std::uint64_t prior = prior_[identity];
+  GNNERATOR_CHECK_MSG(prior != 0, "cost query before the prior of '" << key(identity)
+                                                                     << "' was priced");
+  if (mode == Mode::kPrior) {
+    return prior;
+  }
+  const obs::ExecWindow* w = window(plan_class, identity);
+  if (mode == Mode::kExact) {
+    return w != nullptr ? w->last_cycles : prior;
+  }
+  return blend(prior, w);
 }
 
-std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles, std::string_view plan_class,
-                                std::string_view device_class) const {
-  if (!options_.blend_measurements) {
-    return analytic_cycles;
+void CostOracle::observe(Id plan_class, Id identity, std::uint64_t cycles) {
+  for (const auto& [plan, index] : windows_by_identity_[identity]) {
+    if (plan == plan_class) {
+      windows_.record_at(index, cycles);
+      return;
+    }
   }
-  const obs::ExecWindow* w = windows_.find(plan_class, device_class);
-  if (w == nullptr || w->observations == 0) {
+  windows_by_identity_[identity].emplace_back(
+      plan_class, windows_.record(key(plan_class), key(identity), cycles));
+}
+
+void CostOracle::observe(std::string_view plan_class, std::string_view exec_identity,
+                         std::uint64_t cycles) {
+  const Id plan = intern(plan_class);
+  observe(plan, intern(exec_identity), cycles);
+}
+
+const obs::ExecWindow* CostOracle::window(Id plan_class, Id identity) const {
+  if (!options_.blend_measurements) {
+    return nullptr;
+  }
+  for (const auto& [plan, index] : windows_by_identity_[identity]) {
+    if (plan == plan_class) {
+      return &windows_.at(index);
+    }
+  }
+  return nullptr;
+}
+
+std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles, const obs::ExecWindow* w) const {
+  if (w == nullptr) {
     return analytic_cycles;
   }
   const double n = static_cast<double>(w->observations);
@@ -83,24 +125,39 @@ std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles, std::string_view 
   return saturate_cycles(blended);
 }
 
+std::uint64_t CostOracle::blend(std::uint64_t analytic_cycles, std::string_view plan_class,
+                                std::string_view exec_identity) const {
+  return blend(analytic_cycles, options_.blend_measurements
+                                    ? windows_.find(plan_class, exec_identity)
+                                    : nullptr);
+}
+
 std::optional<std::uint64_t> CostOracle::measured(std::string_view plan_class,
-                                                 std::string_view device_class) const {
-  if (!options_.blend_measurements) {
-    return std::nullopt;
-  }
-  const obs::ExecWindow* w = windows_.find(plan_class, device_class);
-  if (w == nullptr || w->observations == 0) {
+                                                 std::string_view exec_identity) const {
+  const obs::ExecWindow* w =
+      options_.blend_measurements ? windows_.find(plan_class, exec_identity) : nullptr;
+  if (w == nullptr) {
     return std::nullopt;
   }
   return w->last_cycles;
 }
 
 std::uint64_t CostOracle::state_fingerprint() const {
+  // The analytic memo in sorted key order: id order is interning order,
+  // which the fingerprint must not depend on.
+  std::vector<Id> priced;
+  priced.reserve(pipeline_runs_);
+  for (Id id = 0; id < keys_.size(); ++id) {
+    if (prior_[id] != 0) {
+      priced.push_back(id);
+    }
+  }
+  std::sort(priced.begin(), priced.end(), [&](Id a, Id b) { return key(a) < key(b); });
   util::Fnv1a fp(util::kFnvShortBasis);
-  fp.mix(memo_.size());
-  for (const auto& [key, estimate] : memo_) {
-    fp.mix_string(key);
-    fp.mix(estimate);
+  fp.mix(priced.size());
+  for (const Id id : priced) {
+    fp.mix_string(key(id));
+    fp.mix(prior_[id]);
   }
   const auto snapshot = windows_.snapshot();
   fp.mix(snapshot.size());

@@ -4,13 +4,24 @@
 
 namespace gnnerator::obs {
 
-void ExecWindowLog::record(const std::string& plan_class, const std::string& device_class,
-                           std::uint64_t cycles) {
-  auto [it, inserted] = windows_.try_emplace({plan_class, device_class});
-  ExecWindow& w = it->second;
-  if (inserted) {
+std::uint32_t ExecWindowLog::record(std::string_view plan_class, std::string_view device_class,
+                                   std::uint64_t cycles) {
+  auto it = index_.find(std::pair(plan_class, device_class));
+  if (it == index_.end()) {
+    const auto index = static_cast<std::uint32_t>(windows_.size());
+    it = index_.emplace(std::pair(std::string(plan_class), std::string(device_class)), index)
+             .first;
+    ExecWindow& w = windows_.emplace_back();
     w.plan_class = plan_class;
     w.device_class = device_class;
+  }
+  record_at(it->second, cycles);
+  return it->second;
+}
+
+void ExecWindowLog::record_at(std::uint32_t index, std::uint64_t cycles) {
+  ExecWindow& w = windows_[index];
+  if (w.observations == 0) {
     w.ewma_cycles = static_cast<double>(cycles);
     w.min_cycles = cycles;
     w.max_cycles = cycles;
@@ -27,16 +38,16 @@ void ExecWindowLog::record(const std::string& plan_class, const std::string& dev
 std::vector<ExecWindow> ExecWindowLog::snapshot() const {
   std::vector<ExecWindow> out;
   out.reserve(windows_.size());
-  for (const auto& [key, window] : windows_) {
-    out.push_back(window);
+  for (const auto& [key, index] : index_) {
+    out.push_back(windows_[index]);
   }
   return out;
 }
 
 const ExecWindow* ExecWindowLog::find(std::string_view plan_class,
                                       std::string_view device_class) const {
-  const auto it = windows_.find(std::pair(plan_class, device_class));
-  return it == windows_.end() ? nullptr : &it->second;
+  const auto it = index_.find(std::pair(plan_class, device_class));
+  return it == index_.end() ? nullptr : &windows_[it->second];
 }
 
 }  // namespace gnnerator::obs

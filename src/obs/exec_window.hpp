@@ -18,7 +18,10 @@ struct ExecWindow {
   /// Plan-compatibility class key (Outcome::class_key; the fuse class for
   /// sampled batches — the fused execution is what occupied the device).
   std::string plan_class;
-  /// Device class name; "legacy" on a classless homogeneous fleet.
+  /// Who executed it. In the Recorder's log: the device class name
+  /// ("legacy" on a classless homogeneous fleet). In core::CostOracle's log:
+  /// the execution identity, i.e. the plan-class key under the executing
+  /// device's config, so identically configured classes share one window.
   std::string device_class;
   std::uint64_t observations = 0;
   /// Most recent measured execution, in device cycles.
@@ -37,8 +40,13 @@ class ExecWindowLog {
  public:
   explicit ExecWindowLog(double ewma_alpha = 0.25) : alpha_(ewma_alpha) {}
 
-  void record(const std::string& plan_class, const std::string& device_class,
-              std::uint64_t cycles);
+  /// Folds one measurement into the pair's window (created on first sight)
+  /// and returns the window's index, stable for the log's lifetime.
+  std::uint32_t record(std::string_view plan_class, std::string_view device_class,
+                       std::uint64_t cycles);
+  /// Folds one measurement into the window at `index` (from record()).
+  void record_at(std::uint32_t index, std::uint64_t cycles);
+  [[nodiscard]] const ExecWindow& at(std::uint32_t index) const { return windows_[index]; }
 
   /// All pairs, sorted by (plan class, device class).
   [[nodiscard]] std::vector<ExecWindow> snapshot() const;
@@ -66,7 +74,10 @@ class ExecWindowLog {
   };
 
   double alpha_;
-  std::map<std::pair<std::string, std::string>, ExecWindow, PairLess> windows_;
+  /// Windows in creation order; a window's position is its index.
+  std::vector<ExecWindow> windows_;
+  /// (plan class, device class) -> index into windows_, in sorted order.
+  std::map<std::pair<std::string, std::string>, std::uint32_t, PairLess> index_;
   std::uint64_t total_observations_ = 0;
 };
 

@@ -47,7 +47,10 @@ std::optional<SchedulingPolicy> parse_policy(std::string_view name) {
 
 bool Scheduler::has_ready(Cycle now) const { return next_ready(now) <= now; }
 
-std::vector<const QueuedRequest*> Scheduler::ready(Cycle /*now*/) const { return {}; }
+const QueuedRequest* Scheduler::find_ready(
+    Cycle /*now*/, const std::function<bool(const QueuedRequest&)>& /*pick*/) const {
+  return nullptr;
+}
 
 std::optional<QueuedRequest> Scheduler::try_take(std::uint64_t /*id*/) { return std::nullopt; }
 
@@ -219,7 +222,7 @@ class DynamicBatchScheduler final : public Scheduler {
 };
 
 /// The queue behind the affinity (HEFT) policy: arrival order, but the
-/// server performs placement itself via ready()/try_take() — pop() is the
+/// server performs placement itself via find_ready()/try_take() — pop() is the
 /// FIFO fallback so the policy still drains if a caller uses the generic
 /// interface. next_ready() is kNoDeadline: affinity dispatch is driven
 /// purely by completions and arrivals (a held request's preferred device
@@ -249,13 +252,14 @@ class AffinityScheduler final : public Scheduler {
 
   [[nodiscard]] bool has_ready(Cycle /*now*/) const override { return !queue_.empty(); }
 
-  [[nodiscard]] std::vector<const QueuedRequest*> ready(Cycle /*now*/) const override {
-    std::vector<const QueuedRequest*> view;
-    view.reserve(queue_.size());
+  [[nodiscard]] const QueuedRequest* find_ready(
+      Cycle /*now*/, const std::function<bool(const QueuedRequest&)>& pick) const override {
     for (const QueuedRequest& queued : queue_) {
-      view.push_back(&queued);
+      if (pick(queued)) {
+        return &queued;
+      }
     }
-    return view;
+    return nullptr;
   }
 
   std::optional<QueuedRequest> try_take(std::uint64_t id) override {
@@ -291,6 +295,7 @@ class TieredScheduler final : public Scheduler {
       : classes_(std::move(classes)), inners_(std::move(inners)) {
     GNNERATOR_CHECK(classes_.size() == inners_.size() && !classes_.empty());
     virtual_time_.resize(classes_.size(), 0.0);
+    order_.reserve(classes_.size());
     for (const RequestClass& klass : classes_) {
       GNNERATOR_CHECK_MSG(klass.weight > 0.0,
                           "request class '" << klass.name << "' needs a positive weight");
@@ -360,14 +365,14 @@ class TieredScheduler final : public Scheduler {
     return false;
   }
 
-  [[nodiscard]] std::vector<const QueuedRequest*> ready(Cycle now) const override {
-    std::vector<const QueuedRequest*> view;
+  [[nodiscard]] const QueuedRequest* find_ready(
+      Cycle now, const std::function<bool(const QueuedRequest&)>& pick) const override {
     for (const std::size_t tier : eligible_order(now)) {
-      for (const QueuedRequest* queued : inners_[tier]->ready(now)) {
-        view.push_back(queued);
+      if (const QueuedRequest* queued = inners_[tier]->find_ready(now, pick)) {
+        return queued;
       }
     }
-    return view;
+    return nullptr;
   }
 
   std::optional<QueuedRequest> try_take(std::uint64_t id) override {
@@ -398,9 +403,11 @@ class TieredScheduler final : public Scheduler {
 
  private:
   /// Tiers with work eligible at `now`, ordered (priority desc, virtual
-  /// time asc, index asc). The order is total and deterministic.
-  [[nodiscard]] std::vector<std::size_t> eligible_order(Cycle now) const {
-    std::vector<std::size_t> order;
+  /// time asc, index asc). The order is total and deterministic. Built in a
+  /// reused buffer: valid until the next call.
+  [[nodiscard]] const std::vector<std::size_t>& eligible_order(Cycle now) const {
+    std::vector<std::size_t>& order = order_;
+    order.clear();
     for (std::size_t tier = 0; tier < inners_.size(); ++tier) {
       if (inners_[tier]->has_ready(now)) {
         order.push_back(tier);
@@ -421,6 +428,8 @@ class TieredScheduler final : public Scheduler {
   std::vector<RequestClass> classes_;
   std::vector<std::unique_ptr<Scheduler>> inners_;
   std::vector<double> virtual_time_;
+  /// eligible_order's buffer (reserved for every tier up front).
+  mutable std::vector<std::size_t> order_;
 };
 
 std::unique_ptr<Scheduler> make_bare_scheduler(SchedulingPolicy policy,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,12 +78,13 @@ struct QueuedRequest {
   /// Index of the request class (SLO tier) the admission controller
   /// resolved; routes the request inside a TieredScheduler.
   std::size_t tier = 0;
-  /// Dense id the server interned the request under at admission (the
-  /// exact frontier key for sampled requests). Ids are assigned at a
-  /// sequential point, so they are identical for every sim_threads value,
-  /// as are the reports built on them (golden fingerprints pin those).
-  /// Lets per-(plan class, device class) memo lookups be array indexing
-  /// instead of string hashing. Never consulted by scheduler policies.
+  /// The cost oracle's dense id of the request's class key (of the exact
+  /// frontier key for sampled requests), interned at admission. Ids are
+  /// assigned at a sequential point, so they are identical for every
+  /// sim_threads value, as are the reports built on them (golden
+  /// fingerprints pin those). Makes cost queries and per-(plan class,
+  /// device class) memo lookups array indexing instead of string hashing.
+  /// Never consulted by scheduler policies.
   std::uint32_t class_id = 0;
 };
 
@@ -134,20 +136,22 @@ class Scheduler {
   /// Requests currently queued (not yet dispatched).
   [[nodiscard]] virtual std::size_t depth() const = 0;
 
-  /// Whether a pop()/ready() at `now` would yield work. Default:
+  /// Whether a pop()/find_ready() at `now` would yield work. Default:
   /// next_ready(now) <= now; schedulers whose queued work is always
   /// dispatchable but never self-wake (affinity) override with depth() > 0.
   [[nodiscard]] virtual bool has_ready(Cycle now) const;
 
-  /// Affinity (HEFT) support: the dispatchable requests at `now` in policy
-  /// order, without removing them — the server pairs each with its
-  /// earliest-finish device and takes the ones it can place. Pointers are
-  /// valid until the next mutating call. Default: empty (policy does not
-  /// support server-side placement).
-  [[nodiscard]] virtual std::vector<const QueuedRequest*> ready(Cycle now) const;
+  /// Affinity (HEFT) support: walks the dispatchable requests at `now` in
+  /// policy order, without removing them, and returns the first one `pick`
+  /// accepts (null when it accepts none) — the server pairs each request
+  /// with its earliest-finish device and accepts one it can place. The walk
+  /// allocates nothing. Default: null (policy does not support server-side
+  /// placement).
+  [[nodiscard]] virtual const QueuedRequest* find_ready(
+      Cycle now, const std::function<bool(const QueuedRequest&)>& pick) const;
 
   /// Removes and returns the queued request with `id` (previously seen via
-  /// ready()); nullopt when this scheduler does not hold it.
+  /// find_ready()); nullopt when this scheduler does not hold it.
   virtual std::optional<QueuedRequest> try_take(std::uint64_t id);
 
   /// Charges `cost` service cycles against `tier`'s weighted-fair virtual

@@ -18,6 +18,19 @@ namespace {
 /// windows, never correctness).
 constexpr std::size_t kEngineTraceCap = 1u << 20;
 
+/// Whether request `i` of a batch shares its class with an earlier one
+/// (coalesced requests share one execution). Batches are small; the scan
+/// allocates nothing.
+bool repeats_class(const DispatchBatch& batch, std::size_t i) {
+  const std::uint32_t class_id = batch.requests[i].class_id;
+  for (std::size_t j = 0; j < i; ++j) {
+    if (batch.requests[j].class_id == class_id) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -57,11 +70,9 @@ Server::Server(ServerOptions options)
     }
   }
   GNNERATOR_CHECK_MSG(total_devices > 0, "server needs at least one device");
-  // One exec-memo slot per device class (a single shared slot on a legacy
-  // fleet); intern_device_class appends slots for classes added later.
-  const std::size_t slots = device_classes_.empty() ? 1 : device_classes_.size();
-  results_by_id_.resize(slots);
-  estimates_by_id_.resize(slots);
+  // One exec-id row per device class (a single shared row on a legacy
+  // fleet); intern_device_class appends rows for classes added later.
+  exec_ids_.resize(device_classes_.empty() ? 1 : device_classes_.size());
 
   devices_.reserve(total_devices);
   if (device_classes_.empty()) {
@@ -120,12 +131,9 @@ std::size_t Server::intern_device_class(std::string_view name) {
   klass->count = 0;  // registry entry only; no configured workers
   klass->config.validate();
   device_classes_.push_back(std::move(*klass));
-  // Keep the id-indexed exec-memo views in lockstep with the registry (a
-  // reclass mid-run must not index past the slot vectors).
-  while (results_by_id_.size() < device_classes_.size()) {
-    results_by_id_.emplace_back(plan_classes_.size());
-    estimates_by_id_.emplace_back(plan_classes_.size(), kNoEstimate);
-  }
+  // Keep the exec-id rows in lockstep with the registry (a reclass mid-run
+  // must not index past them).
+  exec_ids_.resize(device_classes_.size());
   return device_classes_.size() - 1;
 }
 
@@ -218,24 +226,21 @@ std::string Server::class_key(const core::SimulationRequest& sim) const {
 std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim) {
   const RegisteredDataset& dataset = registered(sim.dataset);
   const core::SimulationRequest canonical = canonical_sim(sim);
-  return cost_oracle_.analytic(*dataset.dataset, canonical,
-                               request_class_key(dataset.fingerprint, canonical));
+  return cost_oracle_.analytic(
+      *dataset.dataset, canonical,
+      cost_oracle_.intern(request_class_key(dataset.fingerprint, canonical)));
 }
 
 std::uint64_t Server::calibrated_cost_estimate(const core::SimulationRequest& sim) {
-  return blended_cost(cost_estimate(sim), class_key(sim));
-}
-
-std::uint64_t Server::blended_cost(std::uint64_t analytic, const std::string& class_key) const {
-  // Oracle windows are keyed (plan class, execution identity), where the
-  // execution identity is the plan-class key under the executing device's
-  // config (exec_key). The canonical estimate is priced under the canonical
-  // class's config — exactly what `class_key` itself encodes — so the
-  // canonical execution identity *is* the class key. Keying by config
-  // identity rather than class name is what lets two identically-configured
-  // device classes share measurements (the identical-class differential in
+  // The canonical estimate is priced under the canonical class's config —
+  // exactly what the class key encodes — so the canonical execution
+  // identity *is* the class key. Keying by config identity rather than
+  // class name is what lets two identically-configured device classes
+  // share measurements (the identical-class differential in
   // tests/serve_property_test.cpp holds bitwise).
-  return cost_oracle_.blend(analytic, class_key, class_key);
+  (void)cost_estimate(sim);
+  const OracleId id = cost_oracle_.intern(class_key(sim));
+  return cost_oracle_.query(id, id, core::CostOracle::Mode::kBlended);
 }
 
 Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles) const {
@@ -250,124 +255,78 @@ Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles
 }
 
 std::uint64_t Server::device_cost_estimate(const core::SimulationRequest& sim,
-                                           std::size_t device_index) {
-  GNNERATOR_CHECK(device_index < devices_.size());
-  Device& device = devices_[device_index];
-  const RegisteredDataset& dataset = registered(sim.dataset);
-  const core::SimulationRequest swapped = sim_for_device(sim, device);
-  const std::string key = request_class_key(dataset.fingerprint, swapped);
-  const std::uint64_t device_cycles = cost_oracle_.analytic(*dataset.dataset, swapped, key);
-  return to_server_cycles(device, device_cycles) + options_.per_request_overhead;
+                                           std::size_t device) {
+  return device_estimate(sim, device, core::CostOracle::Mode::kPrior);
 }
 
 std::uint64_t Server::calibrated_device_cost_estimate(const core::SimulationRequest& sim,
-                                                      std::size_t device_index) {
+                                                      std::size_t device) {
+  return device_estimate(sim, device, core::CostOracle::Mode::kExact);
+}
+
+Cycle Server::device_estimate(const core::SimulationRequest& sim, std::size_t device_index,
+                              core::CostOracle::Mode mode) {
   GNNERATOR_CHECK(device_index < devices_.size());
   const Device& device = devices_[device_index];
   const RegisteredDataset& dataset = registered(sim.dataset);
-  // The execution identity under this device — what exec_key computes for a
+  const core::SimulationRequest swapped = sim_for_device(sim, device);
+  // The execution identity under this device — what exec_id interns for a
   // queued request.
-  const std::string identity =
-      request_class_key(dataset.fingerprint, sim_for_device(sim, device));
-  const auto exact = cost_oracle_.measured(class_key(sim), identity);
-  if (exact.has_value()) {
-    return to_server_cycles(device, *exact) + options_.per_request_overhead;
-  }
-  return device_cost_estimate(sim, device_index);
+  const OracleId identity =
+      cost_oracle_.intern(request_class_key(dataset.fingerprint, swapped));
+  (void)cost_oracle_.analytic(*dataset.dataset, swapped, identity);
+  const OracleId plan = cost_oracle_.intern(class_key(sim));
+  return to_server_cycles(device, cost_oracle_.query(plan, identity, mode)) +
+         options_.per_request_overhead;
 }
 
-std::uint64_t Server::device_class_cycles(const QueuedRequest& queued, const Device& device) {
-  // Indexed by the request's interned id: sampled requests intern per exact
-  // (per-frontier) key, since requests in one fuse class still differ in
-  // subgraph shape, hence in cost.
-  std::uint64_t& device_cycles = estimates_by_id_[exec_slot(device)][queued.class_id];
-  if (device_cycles != kNoEstimate) {
-    return device_cycles;
+Server::OracleId Server::exec_id(const QueuedRequest& queued, const Device& device) {
+  std::vector<OracleId>& row = exec_ids_[exec_slot(device)];
+  if (queued.class_id >= row.size()) {
+    row.resize(static_cast<std::size_t>(queued.class_id) + 1, core::CostOracle::kNoId);
   }
-  const core::SimulationRequest swapped = sim_for_device(queued.request.sim, device);
-  const RegisteredDataset& base = registered(queued.request.sim.dataset);
-  if (queued.sampled != nullptr) {
-    const std::string key = request_class_key(
-        base.fingerprint + "~s" + queued.sampled->frontier->fingerprint, swapped);
-    device_cycles = cost_oracle_.analytic(*queued.sampled->dataset, swapped, key);
-  } else {
-    device_cycles = cost_oracle_.analytic(*base.dataset, swapped, exec_key(queued, device));
+  OracleId& identity = row[queued.class_id];
+  if (identity == core::CostOracle::kNoId) {
+    const RegisteredDataset& base = registered(queued.request.sim.dataset);
+    const core::SimulationRequest swapped = sim_for_device(queued.request.sim, device);
+    // A sampled request executes its own frontier: its identity keys the
+    // frontier like its exact key does, under the device's config.
+    identity = cost_oracle_.intern(
+        queued.sampled == nullptr
+            ? request_class_key(base.fingerprint, swapped)
+            : request_class_key(base.fingerprint + "~s" + queued.sampled->frontier->fingerprint,
+                                swapped));
   }
-  return device_cycles;
+  return identity;
 }
 
-Cycle Server::placement_estimate(const QueuedRequest& queued, const Device& device) {
-  // Priced even when a measurement wins below: the analytic memo entry is
-  // part of the oracle state (CostOracle::state_fingerprint).
-  const Cycle analytic_estimate =
-      to_server_cycles(device, device_class_cycles(queued, device)) +
-      options_.per_request_overhead;
-  if (queued.sampled != nullptr) {
-    // Sampled requests execute as fused compositions; the per-composition
-    // windows say nothing exact about one frontier, so placement stays on
-    // the analytic per-frontier estimate.
-    return analytic_estimate;
+std::uint64_t Server::device_cycles(const QueuedRequest& queued, const Device& device,
+                                    core::CostOracle::Mode mode) {
+  const OracleId identity = exec_id(queued, device);
+  if (!cost_oracle_.lookup(identity).has_value()) {
+    const graph::Dataset& dataset = queued.sampled != nullptr
+                                        ? *queued.sampled->dataset
+                                        : *registered(queued.request.sim.dataset).dataset;
+    (void)cost_oracle_.analytic(dataset, sim_for_device(queued.request.sim, device), identity);
   }
-  const auto exact = cost_oracle_.measured(queued.class_key, exec_key(queued, device));
-  if (!exact.has_value()) {
-    return analytic_estimate;
-  }
-  return to_server_cycles(device, *exact) + options_.per_request_overhead;
+  return cost_oracle_.query(queued.class_id, identity,
+                            queued.sampled != nullptr ? core::CostOracle::Mode::kPrior : mode);
 }
 
 void Server::oracle_observe_dispatch(const Device& device, const DispatchBatch& batch) {
   if (batch.requests.empty() || batch.requests.front().sampled != nullptr) {
     return;  // fused sampled executions are not per-class measurements
   }
-  std::vector<const std::string*> seen;
-  seen.reserve(batch.requests.size());
-  for (const QueuedRequest& q : batch.requests) {
-    const bool dup = std::any_of(seen.begin(), seen.end(),
-                                 [&](const std::string* k) { return *k == q.class_key; });
-    if (dup) {
+  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+    if (repeats_class(batch, i)) {
       continue;
     }
-    seen.push_back(&q.class_key);
-    const std::string& identity = exec_key(q, device);
-    const auto it = class_results_.find(identity);
-    GNNERATOR_CHECK_MSG(it != class_results_.end(), "dispatch committed without class result");
-    cost_oracle_.observe(q.class_key, identity, it->second->cycles);
+    const QueuedRequest& q = batch.requests[i];
+    const OracleId identity = exec_id(q, device);
+    GNNERATOR_CHECK_MSG(identity < results_.size() && results_[identity] != nullptr,
+                        "dispatch committed without class result");
+    cost_oracle_.observe(q.class_id, identity, results_[identity]->cycles);
   }
-}
-
-std::uint64_t Server::wfq_charge_cost(const DispatchBatch& batch, const Device& device) {
-  std::uint64_t cost = 0;
-  for (const QueuedRequest& q : batch.requests) {
-    std::uint64_t per_request = 0;
-    if (q.sampled != nullptr) {
-      // Fused sampled work: charge the queue-time estimate — the fused
-      // composition has no per-request measured counterpart.
-      per_request = q.cost_estimate;
-    } else {
-      const std::uint64_t raw = device_class_cycles(q, device);
-      per_request = cost_oracle_.blend(raw, q.class_key, exec_key(q, device));
-    }
-    cost += std::max<std::uint64_t>(per_request, 1);
-  }
-  return cost;
-}
-
-const std::string& Server::exec_key(const QueuedRequest& queued, const Device& device) {
-  if (device.klass == kNoClass) {
-    return queued.class_key;
-  }
-  std::string memo_key = std::to_string(device.klass);
-  memo_key += '|';
-  memo_key += queued.class_key;
-  auto it = exec_keys_.find(memo_key);
-  if (it == exec_keys_.end()) {
-    const core::SimulationRequest swapped = sim_for_device(queued.request.sim, device);
-    const RegisteredDataset& dataset = registered(swapped.dataset);
-    it = exec_keys_
-             .emplace(std::move(memo_key), request_class_key(dataset.fingerprint, swapped))
-             .first;
-  }
-  return it->second;
 }
 
 // ---- Sampled mini-batch serving (see server.hpp). --------------------------
@@ -598,27 +557,22 @@ std::shared_ptr<const core::ExecutionResult> Server::sampled_result_for(
 }
 
 void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
-  auto& slot = results_by_id_[exec_slot(device)];
-  std::vector<std::uint32_t> missing_cids;
+  std::vector<OracleId> missing;
   std::vector<const QueuedRequest*> missing_reps;
   for (const QueuedRequest& q : batch.requests) {
-    if (slot[q.class_id] != nullptr) {
-      continue;
+    // Identically configured device classes share an execution identity,
+    // so a result another class already paid for is found here.
+    const OracleId identity = exec_id(q, device);
+    if (identity >= results_.size()) {
+      results_.resize(static_cast<std::size_t>(identity) + 1);
     }
-    // Identically configured device classes share an execution identity:
-    // adopt a result another slot already paid for.
-    const std::string& key = exec_key(q, device);
-    if (const auto it = class_results_.find(key); it != class_results_.end()) {
-      slot[q.class_id] = it->second;
-      continue;
-    }
-    if (std::find(missing_cids.begin(), missing_cids.end(), q.class_id) ==
-        missing_cids.end()) {
-      missing_cids.push_back(q.class_id);
+    if (results_[identity] == nullptr &&
+        std::find(missing.begin(), missing.end(), identity) == missing.end()) {
+      missing.push_back(identity);
       missing_reps.push_back(&q);
     }
   }
-  if (missing_cids.empty()) {
+  if (missing.empty()) {
     return;
   }
   // One run_batch per dispatch covers every distinct class the batch needs;
@@ -635,12 +589,12 @@ void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
     // serially anyway), memoizing each class's window template.
     results.reserve(sims.size());
     for (std::size_t i = 0; i < sims.size(); ++i) {
-      results.push_back(obs_traced_run(device, sims[i], exec_key(*missing_reps[i], device)));
+      results.push_back(obs_traced_run(device, sims[i], cost_oracle_.key(missing[i])));
     }
   } else {
     results = device.engine->run_batch(sims);
   }
-  for (std::size_t i = 0; i < missing_cids.size(); ++i) {
+  for (std::size_t i = 0; i < missing.size(); ++i) {
     if (!options_.collect_results) {
       // The memo only has to answer "how many cycles does this class
       // occupy a device for"; without collect_results, dropping the
@@ -648,30 +602,26 @@ void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
       // [V x out_dim] tensor per class forever.
       results[i].output.reset();
     }
-    auto shared = std::make_shared<const core::ExecutionResult>(std::move(results[i]));
-    class_results_.emplace(exec_key(*missing_reps[i], device), shared);
-    slot[missing_cids[i]] = std::move(shared);
+    results_[missing[i]] = std::make_shared<const core::ExecutionResult>(std::move(results[i]));
   }
 }
 
-Cycle Server::batch_service_cycles(const Device& device, const DispatchBatch& batch) const {
+Cycle Server::batch_service_cycles(const Device& device, const DispatchBatch& batch) {
   // One accelerator execution per distinct class (coalesced requests share
   // it), plus the per-request dispatch/response overhead. Device cycles are
   // converted onto the server timeline through the class clock.
-  const auto& slot = results_by_id_[exec_slot(device)];
-  std::uint64_t device_cycles = 0;
-  std::vector<std::uint32_t> seen;
-  seen.reserve(batch.requests.size());
-  for (const QueuedRequest& q : batch.requests) {
-    if (std::find(seen.begin(), seen.end(), q.class_id) != seen.end()) {
+  std::uint64_t cycles = 0;
+  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+    if (repeats_class(batch, i)) {
       continue;
     }
-    seen.push_back(q.class_id);
-    GNNERATOR_CHECK_MSG(slot[q.class_id] != nullptr, "class result missing at dispatch");
-    device_cycles += slot[q.class_id]->cycles;
+    const OracleId identity = exec_id(batch.requests[i], device);
+    GNNERATOR_CHECK_MSG(identity < results_.size() && results_[identity] != nullptr,
+                        "class result missing at dispatch");
+    cycles += results_[identity]->cycles;
   }
   return scaled_service(device,
-                        to_server_cycles(device, device_cycles) +
+                        to_server_cycles(device, cycles) +
                             options_.per_request_overhead *
                                 static_cast<Cycle>(batch.requests.size()));
 }
@@ -808,23 +758,18 @@ void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now)
       }
     } else {
       Cycle offset = 0;
-      std::vector<const std::string*> seen;
-      for (const QueuedRequest& q : batch.requests) {
-        const std::string& key = exec_key(q, device);
-        const bool counted = std::any_of(seen.begin(), seen.end(),
-                                         [&](const std::string* k) { return *k == key; });
-        if (counted) {
+      for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+        if (repeats_class(batch, i)) {
           continue;
         }
-        seen.push_back(&key);
-        const auto it = class_results_.find(key);
-        GNNERATOR_CHECK_MSG(it != class_results_.end(),
-                            "class result missing at obs dispatch");
-        obs_->record_exec_window(q.class_key, dclass, it->second->cycles);
+        const QueuedRequest& q = batch.requests[i];
+        const OracleId identity = exec_id(q, device);
+        const std::uint64_t cycles = results_[identity]->cycles;
+        obs_->record_exec_window(q.class_key, dclass, cycles);
         if (opts.engine_spans && opts.device_timeline) {
-          anchor(key, offset);
+          anchor(cost_oracle_.key(identity), offset);
         }
-        offset += scaled_service(device, to_server_cycles(device, it->second->cycles));
+        offset += scaled_service(device, to_server_cycles(device, cycles));
       }
     }
   }
@@ -859,11 +804,11 @@ void Server::obs_complete(const Outcome& record, Cycle now) {
 
 core::ExecutionResult Server::obs_traced_run(Device& device,
                                              const core::SimulationRequest& sim,
-                                             const std::string& exec_key) {
+                                             const std::string& exec_identity) {
   sim::Tracer tracer;
   tracer.enable(kEngineTraceCap);
   core::ExecutionResult result = device.engine->run(sim, &tracer);
-  obs_->store_engine_windows(exec_key, obs::Recorder::windows_from_tracer(tracer));
+  obs_->store_engine_windows(exec_identity, obs::Recorder::windows_from_tracer(tracer));
   return result;
 }
 

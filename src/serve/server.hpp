@@ -270,8 +270,7 @@ class Server {
   };
 
   static constexpr std::size_t kNoClass = ~static_cast<std::size_t>(0);
-  /// estimates_by_id_ sentinel ("not yet priced on this device class").
-  static constexpr std::uint64_t kNoEstimate = ~static_cast<std::uint64_t>(0);
+  using OracleId = core::CostOracle::Id;
 
   [[nodiscard]] const RegisteredDataset& registered(const std::string& name) const;
 
@@ -335,23 +334,36 @@ class Server {
   static void sampled_gather_rows(const DispatchBatch& batch,
                                   std::vector<graph::NodeId>& rows);
 
-  /// The execution-memo key of one queued request on one device: the plan
-  /// class with the device class's config substituted (equal to class_key
-  /// on a legacy fleet). Memoized.
-  [[nodiscard]] const std::string& exec_key(const QueuedRequest& queued,
-                                            const Device& device);
+  /// The execution identity of one queued request on one device, interned
+  /// in the cost oracle: the request's class (its exact frontier class when
+  /// sampled) with the device class's config substituted — the class id
+  /// itself on a legacy fleet. Memoized per [exec slot][class id], so only
+  /// the first touch builds a key string.
+  [[nodiscard]] OracleId exec_id(const QueuedRequest& queued, const Device& device);
   /// Exec-memo slot of a device: its class index (one shared slot on a
   /// legacy fleet).
   [[nodiscard]] static std::size_t exec_slot(const Device& device) {
     return device.klass == kNoClass ? 0 : device.klass;
   }
-  /// The memoized canonical execution of one (plan class, device class),
-  /// indexed by interned class id; runs the missing classes of `batch`
-  /// through `device`'s engine (one run_batch call).
+  /// The serving path's cost query: device cycles of `queued` on `device`'s
+  /// class (raw, no clock conversion or overhead), answered by the oracle
+  /// by (class id, exec id) in `mode`. Prices the analytic prior on first
+  /// touch, even when a measurement answers: the memo entry is oracle state
+  /// (state_fingerprint), so it must appear at the same event point
+  /// whichever mode asked. Sampled requests always get the prior: fused
+  /// compositions have no per-frontier measurement.
+  [[nodiscard]] std::uint64_t device_cycles(const QueuedRequest& queued, const Device& device,
+                                            core::CostOracle::Mode mode);
+  /// The public device estimates: the server-timeline cost of `sim` on one
+  /// device, including per-request overhead, in `mode` (prices the prior).
+  [[nodiscard]] Cycle device_estimate(const core::SimulationRequest& sim, std::size_t device,
+                                      core::CostOracle::Mode mode);
+  /// The memoized canonical execution of each distinct class of `batch` on
+  /// `device`, indexed by exec id; runs the missing ones through `device`'s
+  /// engine (one run_batch call).
   void ensure_class_results(Device& device, const DispatchBatch& batch);
   /// Device occupancy of a batch on `device`, on the server timeline.
-  [[nodiscard]] Cycle batch_service_cycles(const Device& device,
-                                           const DispatchBatch& batch) const;
+  [[nodiscard]] Cycle batch_service_cycles(const Device& device, const DispatchBatch& batch);
   /// Converts device cycles of `device`'s class onto the server timeline
   /// (identity on a legacy fleet and whenever the clocks match).
   [[nodiscard]] Cycle to_server_cycles(const Device& device, std::uint64_t device_cycles) const;
@@ -375,14 +387,17 @@ class Server {
   std::vector<Device> devices_;
   std::map<std::string, RegisteredDataset, std::less<>> datasets_;
   /// The one estimator every consumer asks: analytic prior memo + measured
-  /// (plan class, device class) execution windows (core/cost_oracle.hpp).
+  /// (plan class, execution identity) windows (core/cost_oracle.hpp). Its
+  /// ids are the serving loop's dense ids: a queued request's class_id is
+  /// the oracle id of its class key (exact frontier key when sampled).
   core::CostOracle cost_oracle_;
-  /// Execution identity (exec_key) -> canonical execution result (cycles +
-  /// output), computed once per (plan class, device config) for the whole
-  /// fleet: identically configured device classes share entries.
-  std::unordered_map<std::string, std::shared_ptr<const core::ExecutionResult>> class_results_;
-  /// (device class index, plan class key) -> execution-memo key.
-  std::unordered_map<std::string, std::string> exec_keys_;
+  /// [exec slot][class id] -> exec id (see exec_id); kNoId until first
+  /// touched. Rows grow on demand.
+  std::vector<std::vector<OracleId>> exec_ids_;
+  /// [exec id] -> canonical execution result (cycles + output), computed
+  /// once per (plan class, device config) for the whole fleet: identically
+  /// configured device classes share the exec id, hence the entry.
+  std::vector<std::shared_ptr<const core::ExecutionResult>> results_;
   /// (dataset | seed | fanout) -> resolved sampled query, so repeated seeds
   /// sample once and coalesce (the sampled analogue of class_results_).
   std::unordered_map<std::string, std::shared_ptr<const SampledQuery>> sample_memo_;
@@ -400,31 +415,11 @@ class Server {
   // state — and every decision derived from it — is bitwise identical
   // across sim_threads values.
 
-  /// The admission-time queue cost: the canonical analytic estimate blended
-  /// with the measured history of the canonical execution identity (the
-  /// class key itself — see the definition for why).
-  [[nodiscard]] std::uint64_t blended_cost(std::uint64_t analytic,
-                                           const std::string& class_key) const;
   /// Feeds the batch's measured executions (one per distinct class) into
   /// the oracle. Called at dispatch commit, right after obs_dispatch;
   /// sampled batches are skipped (a fused composition's cycles are not a
   /// per-frontier measurement).
   void oracle_observe_dispatch(const Device& device, const DispatchBatch& batch);
-  /// WFQ virtual-time charge of a committed batch: per-request blended cost
-  /// under the device class that actually executes (bug fix: the queue-time
-  /// canonical-class estimate misprices tiers on heterogeneous fleets).
-  [[nodiscard]] std::uint64_t wfq_charge_cost(const DispatchBatch& batch, const Device& device);
-  /// Raw analytic *device* cycles of one queued request on one device's
-  /// class (no clock conversion, no overhead), memoized in estimates_by_id_.
-  /// Raw so WFQ charges can blend against measured windows, which are
-  /// recorded in device cycles; readers convert onto the server timeline.
-  [[nodiscard]] std::uint64_t device_class_cycles(const QueuedRequest& queued,
-                                                  const Device& device);
-  /// Affinity EFT, on the server timeline: the analytic estimate, swapped
-  /// for the measured-exact service time once the oracle has observed the
-  /// request's execution identity on this device's class. Non-const:
-  /// prices and interns on first touch.
-  [[nodiscard]] Cycle placement_estimate(const QueuedRequest& queued, const Device& device);
 
   // ---- Fleet mutation driven by the event loop (faults, autoscaling). -------
   // The loop owns the per-run elastic state (fault cursor, requeue heap,
@@ -476,11 +471,12 @@ class Server {
   /// ExecWindowLog onto the report. Called when the loop assembles the report.
   void obs_finish_run(ServeReport& report, Cycle now);
   /// When engine-span capture is on, runs one traced execution through
-  /// `device`'s engine and memoizes its window template under `exec_key`;
-  /// returns the result (results are identical to the untraced run).
+  /// `device`'s engine and memoizes its window template under the
+  /// execution identity's key; returns the result (results are identical
+  /// to the untraced run).
   [[nodiscard]] core::ExecutionResult obs_traced_run(Device& device,
                                                      const core::SimulationRequest& sim,
-                                                     const std::string& exec_key);
+                                                     const std::string& exec_identity);
   /// Whether dispatch-time class executions should route through
   /// obs_traced_run instead of run_batch.
   [[nodiscard]] bool obs_wants_engine_spans() const {
@@ -495,22 +491,6 @@ class Server {
   /// can reach the memo tables without widening the public surface.
   struct Pipeline;
 
-  /// One plan class in the dense registry.
-  struct PlanClass {
-    std::string key;  ///< canonical class key (class_key())
-    std::uint64_t cost_estimate = 0;  ///< canonical cost-oracle value
-  };
-
-  /// Dense plan-class registry: key -> id and id -> key + canonical cost.
-  /// The id-indexed side tables below turn the loop's hot memo lookups
-  /// (execution results, analytic device estimates) into array indexing.
-  std::unordered_map<std::string, std::uint32_t> class_ids_;
-  std::vector<PlanClass> plan_classes_;
-  /// [exec slot][class id] (see exec_slot). Entries are null / kNoEstimate
-  /// until first touched; estimates are raw device cycles
-  /// (device_class_cycles).
-  std::vector<std::vector<std::shared_ptr<const core::ExecutionResult>>> results_by_id_;
-  std::vector<std::vector<std::uint64_t>> estimates_by_id_;
   /// Lazily built worker pool (sim_threads != 1), reused across serve runs.
   std::unique_ptr<util::ThreadPool> pool_;
 };

@@ -8,11 +8,11 @@
 ///   A. pure per-request work — validation, tier resolution, plan-class key
 ///      construction — fanned out across the worker pool (nothing shared is
 ///      written);
-///   B. sequential merge — class keys interned into the dense registry,
-///      classes missing a canonical cost collected;
+///   B. sequential merge — class keys interned into the cost oracle's dense
+///      ids, classes missing a canonical cost collected;
 ///   C. pure pricing — core::CostOracle::compute per missing class, fanned
 ///      out (const: no oracle state is touched until the sequential prime);
-///   D. sequential publish — costs primed into the cost oracle and registry.
+///   D. sequential publish — costs primed into the cost oracle.
 ///
 /// The annotated cost is the *analytic* prior; the measurement blend
 /// happens at admit(), a sequential event point, so a chunk annotated far
@@ -90,7 +90,7 @@ struct Server::Pipeline {
   struct Annotated {
     Request request;
     std::string key;            ///< canonical plan-class key (phase A)
-    std::uint32_t class_id = 0; ///< dense id (phase B)
+    std::uint32_t class_id = 0; ///< cost-oracle id (phase B)
     std::size_t tier = 0;       ///< request class index (phase A)
     std::uint64_t cost = 0;     ///< canonical analytic cost (phase D; blended at admit)
     /// Sampled requests: the drawn frontier (phase A — sampling is a pure
@@ -135,6 +135,18 @@ struct Server::Pipeline {
   std::uint64_t requeue_seq = 0;
   std::uint64_t scale_ups = 0;
   std::uint64_t scale_downs = 0;
+
+  // ---- Affinity placement. A request's EFT on each device depends only on
+  // its class id, and fleet state is frozen within one scan of the queue,
+  // so each class's best device is computed once per scan, at the class's
+  // first appearance (the pricing order of a per-request walk). ----------
+  struct Placement {
+    std::uint64_t scan = 0;  ///< scan the entry was computed in (0 = never)
+    std::uint32_t device = 0;
+    bool busy = true;  ///< best device busy: the request is held
+  };
+  std::vector<Placement> placements;  ///< by class id
+  std::uint64_t scan = 0;
 
   Pipeline(Server& s, WorkloadSource& w, util::ThreadPool* p)
       : server(s), workload(w), stream(dynamic_cast<StreamingWorkloadSource*>(&w)), pool(p) {
@@ -189,8 +201,8 @@ struct Server::Pipeline {
     a.key = server.class_key(r.sim);
   }
 
-  /// Phase-B body: dense-id interning (sequential; grows the registry and
-  /// every id-indexed memo view in lockstep).
+  /// Phase-B body: dense-id interning (sequential: ids are assigned in
+  /// arrival order, identically for every sim_threads value).
   void intern(Annotated& a) {
     if (a.sampled != nullptr) {
       // First-wins publish into the shared memo: every duplicate drawn in
@@ -199,19 +211,8 @@ struct Server::Pipeline {
     }
     // Sampled requests intern per exact (frontier) key — cost and result
     // memos distinguish subgraph shapes even inside one fuse class.
-    const std::string& intern_key = a.sampled != nullptr ? a.sampled->exact_key : a.key;
-    const auto [it, inserted] = server.class_ids_.try_emplace(
-        intern_key, static_cast<std::uint32_t>(server.plan_classes_.size()));
-    if (inserted) {
-      server.plan_classes_.push_back(PlanClass{intern_key, 0});
-      for (auto& slot : server.results_by_id_) {
-        slot.emplace_back();
-      }
-      for (auto& slot : server.estimates_by_id_) {
-        slot.push_back(kNoEstimate);
-      }
-    }
-    a.class_id = it->second;
+    a.class_id =
+        server.cost_oracle_.intern(a.sampled != nullptr ? a.sampled->exact_key : a.key);
   }
 
   /// The canonical analytic cost. CostOracle::compute is clamped to >= 1,
@@ -255,16 +256,11 @@ struct Server::Pipeline {
     for (std::size_t i = 0; i < buffer.size(); ++i) {
       Annotated& a = buffer[i];
       intern(a);
-      PlanClass& pc = server.plan_classes_[a.class_id];
-      if (pc.cost_estimate == 0 &&
+      if (!server.cost_oracle_.lookup(a.class_id).has_value() &&
           std::find(missing_cids.begin(), missing_cids.end(), a.class_id) ==
               missing_cids.end()) {
-        if (const auto known = server.cost_oracle_.lookup(pc.key)) {
-          pc.cost_estimate = *known;
-        } else {
-          missing_cids.push_back(a.class_id);
-          missing_reps.push_back(i);
-        }
+        missing_cids.push_back(a.class_id);
+        missing_reps.push_back(i);
       }
     }
 
@@ -288,12 +284,10 @@ struct Server::Pipeline {
     // Phase D: publish — one prime per class, so cost_oracle_runs() counts
     // each distinct class exactly once.
     for (std::size_t i = 0; i < missing_cids.size(); ++i) {
-      PlanClass& pc = server.plan_classes_[missing_cids[i]];
-      server.cost_oracle_.prime(pc.key, costs[i]);
-      pc.cost_estimate = costs[i];
+      server.cost_oracle_.prime(missing_cids[i], costs[i]);
     }
     for (Annotated& a : buffer) {
-      a.cost = server.plan_classes_[a.class_id].cost_estimate;
+      a.cost = *server.cost_oracle_.lookup(a.class_id);
     }
   }
 
@@ -359,17 +353,10 @@ struct Server::Pipeline {
   void annotate_serial(Annotated& a) {
     annotate_fields(a);
     intern(a);
-    PlanClass& pc = server.plan_classes_[a.class_id];
-    if (pc.cost_estimate == 0) {
-      if (const auto known = server.cost_oracle_.lookup(pc.key)) {
-        pc.cost_estimate = *known;
-      } else {
-        const std::uint64_t cost = compute_cost(a);
-        server.cost_oracle_.prime(pc.key, cost);
-        pc.cost_estimate = cost;
-      }
+    if (!server.cost_oracle_.lookup(a.class_id).has_value()) {
+      server.cost_oracle_.prime(a.class_id, compute_cost(a));
     }
-    a.cost = pc.cost_estimate;
+    a.cost = *server.cost_oracle_.lookup(a.class_id);
   }
 
   void admit(Annotated&& a) {
@@ -394,11 +381,14 @@ struct Server::Pipeline {
     }
     // Blend the annotated analytic cost with the measured history *here* —
     // admission is a sequential event point, so the oracle windows consulted
-    // never depend on how far ahead the chunk was annotated. (Sampled
+    // never depend on how far ahead the chunk was annotated. The canonical
+    // execution identity of a plan class is the class itself. (Sampled
     // requests stay analytic: fused-composition windows are not
     // per-frontier measurements.)
     const std::uint64_t cost =
-        a.sampled != nullptr ? a.cost : server.blended_cost(a.cost, a.key);
+        a.sampled != nullptr
+            ? a.cost
+            : server.cost_oracle_.query(a.class_id, a.class_id, core::CostOracle::Mode::kBlended);
     scheduler->enqueue(QueuedRequest{std::move(a.request), std::move(a.key),
                                      std::move(a.sampled), cost, a.tier, a.class_id},
                        now);
@@ -463,12 +453,21 @@ struct Server::Pipeline {
     server.obs_dispatch(device, batch, now);
     server.oracle_observe_dispatch(device, batch);
     if (server.request_classes_.size() > 1) {
-      // WFQ accounting at dispatch commit: charge the tier with the cost of
-      // the device class that actually executes the batch, not the
-      // canonical-class estimate it was queued with.
-      scheduler->charge(batch.requests.front().tier, server.wfq_charge_cost(batch, device));
+      // WFQ accounting at dispatch commit: charge the tier with the blended
+      // cost on the device class that actually executes the batch, not the
+      // canonical-class estimate it was queued with. Fused sampled work
+      // charges its queue-time estimate: a composition has no per-request
+      // measured counterpart.
+      std::uint64_t charge = 0;
+      for (const QueuedRequest& q : batch.requests) {
+        charge += std::max<std::uint64_t>(
+            q.sampled != nullptr
+                ? q.cost_estimate
+                : server.device_cycles(q, device, core::CostOracle::Mode::kBlended),
+            1);
+      }
+      scheduler->charge(batch.requests.front().tier, charge);
     }
-    const auto& slot = server.results_by_id_[server.exec_slot(device)];
     for (const QueuedRequest& queued : batch.requests) {
       Outcome& record = records[queued.request.id];
       record.dispatch = now;
@@ -477,7 +476,7 @@ struct Server::Pipeline {
       record.service_cycles = service;
       if (server.options_.collect_results) {
         record.result = sampled ? server.sampled_result_for(queued, device, batch)
-                                : slot[queued.class_id];
+                                : server.results_[server.exec_id(queued, device)];
       }
       device.inflight_ids.push_back(queued.request.id);
     }
@@ -489,50 +488,65 @@ struct Server::Pipeline {
     return true;
   }
 
-  /// Affinity-aware (HEFT) dispatch: scan dispatchable requests in policy
-  /// order and place each on the device with the earliest estimated finish
-  /// time (cost model under each device class's config). A request whose
-  /// best device is busy is *held* — its preferred device finishing is a
-  /// completion event, so the hold always resolves without extra wake-ups.
-  /// Each placement changes busy states, so rescan until a full pass
-  /// places nothing.
-  void dispatch_affinity() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const QueuedRequest* q : scheduler->ready(now)) {
-        std::size_t best = server.devices_.size();
-        Cycle best_eft = kNoDeadline;
-        bool best_busy = true;
-        for (std::size_t di = 0; di < server.devices_.size(); ++di) {
-          const Device& device = server.devices_[di];
-          if (device.health != DeviceHealth::kActive) {
-            continue;  // crashed / scaled-out devices take no placements
-          }
-          const bool busy = !device.inflight_ids.empty();
-          const Cycle start = busy ? device.busy_until : now;
-          const Cycle eft = start + server.placement_estimate(*q, device);
-          // Total order: earliest finish, then idle before busy, then the
-          // lower device index (the scan order).
-          if (best == server.devices_.size() || eft < best_eft ||
-              (eft == best_eft && !busy && best_busy)) {
-            best = di;
-            best_eft = eft;
-            best_busy = busy;
-          }
-        }
-        if (best_busy) {
-          continue;  // held for a busy device
-        }
-        std::optional<QueuedRequest> taken = scheduler->try_take(q->request.id);
-        GNNERATOR_CHECK_MSG(taken.has_value(), "affinity scheduler lost a ready request");
-        DispatchBatch batch;
-        batch.requests.push_back(std::move(*taken));
-        (void)dispatch_batch_to(server.devices_[best], static_cast<std::uint32_t>(best),
-                                std::move(batch));
-        progress = true;
-        break;  // the ready view is invalidated; rescan
+  /// The earliest-finish device for `q` on the current fleet state (cost
+  /// model under each device class's config, measured-exact once the
+  /// oracle has observed the execution). Total order: earliest finish,
+  /// then idle before busy, then the lower device index.
+  Placement place(const QueuedRequest& q) {
+    const std::size_t n = server.devices_.size();
+    Placement best{scan, static_cast<std::uint32_t>(n), true};
+    Cycle best_eft = kNoDeadline;
+    for (std::size_t di = 0; di < n; ++di) {
+      const Device& device = server.devices_[di];
+      if (device.health != DeviceHealth::kActive) {
+        continue;  // crashed / scaled-out devices take no placements
       }
+      const bool busy = !device.inflight_ids.empty();
+      const Cycle start = busy ? device.busy_until : now;
+      const Cycle eft =
+          start +
+          server.to_server_cycles(device,
+                                  server.device_cycles(q, device, core::CostOracle::Mode::kExact)) +
+          server.options_.per_request_overhead;
+      if (best.device == n || eft < best_eft || (eft == best_eft && !busy && best.busy)) {
+        best.device = static_cast<std::uint32_t>(di);
+        best.busy = busy;
+        best_eft = eft;
+      }
+    }
+    return best;
+  }
+
+  /// Affinity-aware (HEFT) dispatch: scan dispatchable requests in policy
+  /// order and place the first whose earliest-finish device is idle. A
+  /// request whose best device is busy is *held* — its preferred device
+  /// finishing is a completion event, so the hold always resolves without
+  /// extra wake-ups. Each placement changes busy states, so rescan until a
+  /// full pass places nothing.
+  void dispatch_affinity() {
+    // Accepts a request whose best device is idle.
+    const std::function<bool(const QueuedRequest&)> placeable = [this](const QueuedRequest& q) {
+      if (q.class_id >= placements.size()) {
+        placements.resize(static_cast<std::size_t>(q.class_id) + 1);
+      }
+      Placement& p = placements[q.class_id];
+      if (p.scan != scan) {
+        p = place(q);
+      }
+      return !p.busy;
+    };
+    while (true) {
+      ++scan;
+      const QueuedRequest* q = scheduler->find_ready(now, placeable);
+      if (q == nullptr) {
+        return;
+      }
+      const std::uint32_t best = placements[q->class_id].device;
+      std::optional<QueuedRequest> taken = scheduler->try_take(q->request.id);
+      GNNERATOR_CHECK_MSG(taken.has_value(), "affinity scheduler lost a ready request");
+      DispatchBatch batch;
+      batch.requests.push_back(std::move(*taken));
+      (void)dispatch_batch_to(server.devices_[best], best, std::move(batch));
     }
   }
 

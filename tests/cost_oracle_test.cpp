@@ -123,23 +123,30 @@ TEST(CostOracle, ColdStartIsTheAnalyticPrior) {
   sim.mode = core::SimMode::kTiming;
 
   core::CostOracle oracle;
-  EXPECT_FALSE(oracle.lookup("k").has_value());
-  const std::uint64_t analytic = oracle.analytic(dataset, sim, "k");
+  const core::CostOracle::Id k = oracle.intern("k");
+  EXPECT_EQ(oracle.intern("k"), k) << "interning is idempotent";
+  EXPECT_EQ(oracle.key(k), "k");
+  EXPECT_FALSE(oracle.lookup(k).has_value());
+  const std::uint64_t analytic = oracle.analytic(dataset, sim, k);
   EXPECT_EQ(analytic, oracle.compute(dataset, sim));
   EXPECT_EQ(oracle.pipeline_runs(), 1u);
   // Memoized: the second call does not re-run the compiler pipeline.
-  EXPECT_EQ(oracle.analytic(dataset, sim, "k"), analytic);
+  EXPECT_EQ(oracle.analytic(dataset, sim, k), analytic);
   EXPECT_EQ(oracle.pipeline_runs(), 1u);
-  ASSERT_TRUE(oracle.lookup("k").has_value());
-  EXPECT_EQ(*oracle.lookup("k"), analytic);
+  ASSERT_TRUE(oracle.lookup(k).has_value());
+  EXPECT_EQ(*oracle.lookup(k), analytic);
   // Unobserved pairs blend to the prior and report no measurement.
   EXPECT_EQ(oracle.blend(analytic, "k", "k"), analytic);
   EXPECT_FALSE(oracle.measured("k", "k").has_value());
+  for (const auto mode : {core::CostOracle::Mode::kPrior, core::CostOracle::Mode::kBlended,
+                          core::CostOracle::Mode::kExact}) {
+    EXPECT_EQ(oracle.query(k, k, mode), analytic);
+  }
   // prime() publishes without recomputing, and only counts new keys.
-  oracle.prime("k", 42);
-  EXPECT_EQ(*oracle.lookup("k"), analytic) << "prime must not overwrite";
+  oracle.prime(k, 42);
+  EXPECT_EQ(*oracle.lookup(k), analytic) << "prime must not overwrite";
   EXPECT_EQ(oracle.pipeline_runs(), 1u);
-  oracle.prime("k2", 42);
+  oracle.prime(oracle.intern("k2"), 42);
   EXPECT_EQ(oracle.pipeline_runs(), 2u);
 }
 
@@ -210,14 +217,48 @@ TEST(CostOracle, StateFingerprintCoversMemoAndWindows) {
   core::CostOracle a;
   core::CostOracle b;
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
-  a.prime("k", 100);
+  a.prime(a.intern("k"), 100);
   EXPECT_NE(a.state_fingerprint(), b.state_fingerprint());
-  b.prime("k", 100);
+  b.prime(b.intern("k"), 100);
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
   a.observe("p", "d", 777);
   EXPECT_NE(a.state_fingerprint(), b.state_fingerprint());
   b.observe("p", "d", 777);
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
+}
+
+/// The id-keyed query and the string boundary read the same windows: an
+/// observation made by key is what query() answers by id, in every mode,
+/// and the state fingerprint does not depend on the order keys were
+/// interned in.
+TEST(CostOracle, IdQueryMatchesStringBoundary) {
+  core::CostOracle oracle;
+  const core::CostOracle::Id plan = oracle.intern("p");
+  const core::CostOracle::Id identity = oracle.intern("d");
+  oracle.prime(identity, 1'000'000);
+  oracle.observe("p", "d", 4'000'000);
+  oracle.observe(plan, identity, 3'000'000);
+  EXPECT_EQ(oracle.windows().size(), 1u) << "the id and key paths share one window";
+  EXPECT_EQ(oracle.query(plan, identity, core::CostOracle::Mode::kPrior), 1'000'000u);
+  EXPECT_EQ(oracle.query(plan, identity, core::CostOracle::Mode::kBlended),
+            oracle.blend(1'000'000, "p", "d"));
+  EXPECT_EQ(oracle.query(plan, identity, core::CostOracle::Mode::kExact), 3'000'000u);
+  ASSERT_TRUE(oracle.measured("p", "d").has_value());
+  EXPECT_EQ(*oracle.measured("p", "d"), 3'000'000u);
+  // The reverse pair is unobserved: blended and exact fall back to the prior.
+  oracle.prime(plan, 5);
+  EXPECT_EQ(oracle.query(identity, plan, core::CostOracle::Mode::kBlended), 5u);
+  EXPECT_EQ(oracle.query(identity, plan, core::CostOracle::Mode::kExact), 5u);
+
+  // Same history, keys interned in the opposite order.
+  core::CostOracle reversed;
+  const core::CostOracle::Id r_identity = reversed.intern("d");
+  const core::CostOracle::Id r_plan = reversed.intern("p");
+  reversed.prime(r_plan, 5);
+  reversed.observe(r_plan, r_identity, 4'000'000);
+  reversed.observe("p", "d", 3'000'000);
+  reversed.prime(r_identity, 1'000'000);
+  EXPECT_EQ(reversed.state_fingerprint(), oracle.state_fingerprint());
 }
 
 // ------------------------------------------------ determinism goldens --

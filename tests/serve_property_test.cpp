@@ -45,6 +45,7 @@
 #include "util/fnv.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
+#include "warm_affinity_scenario.hpp"
 
 namespace gnnerator::serve {
 namespace {
@@ -581,6 +582,36 @@ TEST(ServeGolden, ClosedLoopFeedbackMatchesGolden) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(run(threads)))), "bf1af893eb80452c");
+  }
+}
+
+/// Affinity placement on a warm oracle: tiers, a heterogeneous fleet, and a
+/// measured serve that places on measured-exact cycles after a warm-up on
+/// the same server. The reclass variant moves dev3 to a device class outside
+/// the configured fleet mid-run, so the execution-identity tables grow while
+/// the loop runs. Report and cost-oracle state are pinned at every
+/// sim_threads count; the goldens were recorded from the string-keyed
+/// placer that preceded the id-keyed cost query.
+TEST(ServeGolden, AffinityHeteroWarmOracleMatchesGolden) {
+  struct Golden {
+    const char* report;
+    const char* oracle;
+  };
+  const Golden steady{"8b7e0acbad9e6ad0", "bc3c4676200d0e78"};
+  const Golden reclassed{"f1618954a9668996", "7e9995d287eb4021"};
+  for (const bool reclass : {false, true}) {
+    const Golden& golden = reclass ? reclassed : steady;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(reclass ? "reclass" : "steady") +
+                   " sim_threads=" + std::to_string(threads));
+      Server server = scenarios::warm_affinity_server(reclass, threads);
+      const ServeReport report = scenarios::serve_warm_affinity(server, 400);
+      EXPECT_EQ(report.outcomes.size(), 400u);
+      EXPECT_EQ(util::hex64(util::fnv1a64(report_fingerprint(report))), golden.report)
+          << "affinity serve() on a warm oracle diverged from the golden report";
+      EXPECT_EQ(util::hex64(server.cost_oracle().state_fingerprint()), golden.oracle)
+          << "cost-oracle state diverged from the golden";
+    }
   }
 }
 

@@ -100,10 +100,9 @@ struct RecorderOptions {
   bool request_spans = true;
   /// Per-device busy/crashed/parked intervals + control marks.
   bool device_timeline = true;
-  /// Capture sim::Tracer engine busy windows on each class's first
-  /// execution and attach them to busy spans. Opt-in: it re-runs nothing,
-  /// but serializes first executions within a dispatch and holds parsed
-  /// window templates per class.
+  /// Capture sim::Tracer engine busy windows on each execution's first run
+  /// and attach them to busy spans. Opt-in: it re-runs nothing, but holds
+  /// parsed window templates per memoized execution.
   bool engine_spans = false;
   /// Accumulate measured (plan class, device class) execution windows.
   bool exec_windows = true;
@@ -166,7 +165,7 @@ class Recorder {
   [[nodiscard]] static std::vector<EngineWindow> windows_from_tracer(
       const sim::Tracer& tracer);
   /// Memoizes the window template of one execution-memo key (parallels the
-  /// server's class_results_; persists across runs).
+  /// server's results_, keyed by the exec id's key; persists across runs).
   void store_engine_windows(const std::string& exec_key, std::vector<EngineWindow> windows);
   [[nodiscard]] const std::vector<EngineWindow>* engine_windows(
       const std::string& exec_key) const;

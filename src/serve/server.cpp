@@ -14,22 +14,9 @@ namespace gnnerator::serve {
 namespace {
 
 /// Event cap of the sim::Tracer used for engine-span capture (one traced
-/// execution per distinct class; a truncated capture just loses tail
+/// execution per distinct composition; a truncated capture just loses tail
 /// windows, never correctness).
 constexpr std::size_t kEngineTraceCap = 1u << 20;
-
-/// Whether request `i` of a batch shares its class with an earlier one
-/// (coalesced requests share one execution). Batches are small; the scan
-/// allocates nothing.
-bool repeats_class(const DispatchBatch& batch, std::size_t i) {
-  const std::uint32_t class_id = batch.requests[i].class_id;
-  for (std::size_t j = 0; j < i; ++j) {
-    if (batch.requests[j].class_id == class_id) {
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -223,24 +210,19 @@ std::string Server::class_key(const core::SimulationRequest& sim) const {
                                  : request_class_key(fingerprint, canonical_sim(sim));
 }
 
-std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim) {
+std::uint64_t Server::cost_estimate(const core::SimulationRequest& sim,
+                                    core::CostOracle::Mode mode) {
   const RegisteredDataset& dataset = registered(sim.dataset);
   const core::SimulationRequest canonical = canonical_sim(sim);
-  return cost_oracle_.analytic(
-      *dataset.dataset, canonical,
-      cost_oracle_.intern(request_class_key(dataset.fingerprint, canonical)));
-}
-
-std::uint64_t Server::calibrated_cost_estimate(const core::SimulationRequest& sim) {
   // The canonical estimate is priced under the canonical class's config —
   // exactly what the class key encodes — so the canonical execution
   // identity *is* the class key. Keying by config identity rather than
   // class name is what lets two identically-configured device classes
   // share measurements (the identical-class differential in
   // tests/serve_property_test.cpp holds bitwise).
-  (void)cost_estimate(sim);
-  const OracleId id = cost_oracle_.intern(class_key(sim));
-  return cost_oracle_.query(id, id, core::CostOracle::Mode::kBlended);
+  const OracleId id = cost_oracle_.intern(request_class_key(dataset.fingerprint, canonical));
+  (void)cost_oracle_.analytic(*dataset.dataset, canonical, id);
+  return cost_oracle_.query(id, id, mode);
 }
 
 Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles) const {
@@ -255,17 +237,8 @@ Cycle Server::to_server_cycles(const Device& device, std::uint64_t device_cycles
 }
 
 std::uint64_t Server::device_cost_estimate(const core::SimulationRequest& sim,
-                                           std::size_t device) {
-  return device_estimate(sim, device, core::CostOracle::Mode::kPrior);
-}
-
-std::uint64_t Server::calibrated_device_cost_estimate(const core::SimulationRequest& sim,
-                                                      std::size_t device) {
-  return device_estimate(sim, device, core::CostOracle::Mode::kExact);
-}
-
-Cycle Server::device_estimate(const core::SimulationRequest& sim, std::size_t device_index,
-                              core::CostOracle::Mode mode) {
+                                           std::size_t device_index,
+                                           core::CostOracle::Mode mode) {
   GNNERATOR_CHECK(device_index < devices_.size());
   const Device& device = devices_[device_index];
   const RegisteredDataset& dataset = registered(sim.dataset);
@@ -311,22 +284,6 @@ std::uint64_t Server::device_cycles(const QueuedRequest& queued, const Device& d
   }
   return cost_oracle_.query(queued.class_id, identity,
                             queued.sampled != nullptr ? core::CostOracle::Mode::kPrior : mode);
-}
-
-void Server::oracle_observe_dispatch(const Device& device, const DispatchBatch& batch) {
-  if (batch.requests.empty() || batch.requests.front().sampled != nullptr) {
-    return;  // fused sampled executions are not per-class measurements
-  }
-  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    if (repeats_class(batch, i)) {
-      continue;
-    }
-    const QueuedRequest& q = batch.requests[i];
-    const OracleId identity = exec_id(q, device);
-    GNNERATOR_CHECK_MSG(identity < results_.size() && results_[identity] != nullptr,
-                        "dispatch committed without class result");
-    cost_oracle_.observe(q.class_id, identity, results_[identity]->cycles);
-  }
 }
 
 // ---- Sampled mini-batch serving (see server.hpp). --------------------------
@@ -395,82 +352,92 @@ std::shared_ptr<const SampledQuery> Server::publish_sampled(
   return it->second;
 }
 
-std::vector<const SampledQuery*> Server::sampled_composition(const DispatchBatch& batch) {
-  std::vector<const SampledQuery*> parts;
-  parts.reserve(batch.requests.size());
+// ---- The one batch-execution path (see server.hpp). ------------------------
+
+const std::vector<const QueuedRequest*>& Server::composition(const DispatchBatch& batch) {
+  composition_.clear();
   for (const QueuedRequest& q : batch.requests) {
-    GNNERATOR_CHECK_MSG(q.sampled != nullptr, "sampled batch mixes full-graph requests");
-    const bool seen = std::any_of(parts.begin(), parts.end(), [&](const SampledQuery* p) {
-      return p->frontier->fingerprint_value == q.sampled->frontier->fingerprint_value;
-    });
-    if (!seen) {
-      parts.push_back(q.sampled.get());
+    if (std::none_of(composition_.begin(), composition_.end(),
+                     [&](const QueuedRequest* part) { return part->class_id == q.class_id; })) {
+      composition_.push_back(&q);
     }
   }
-  return parts;
+  return composition_;
 }
 
-std::string Server::sampled_exec_key(const Device& device, const DispatchBatch& batch) const {
-  util::Fnv1a fnv;
-  const std::vector<const SampledQuery*> parts = sampled_composition(batch);
-  fnv.mix(parts.size());
-  for (const SampledQuery* p : parts) {
-    fnv.mix(p->frontier->fingerprint_value);
+Server::OracleId Server::ensure_result(Device& device, const DispatchBatch& batch) {
+  const std::vector<const QueuedRequest*>& parts = composition(batch);
+  const QueuedRequest& front = *parts.front();
+  GNNERATOR_CHECK_MSG(front.sampled != nullptr || parts.size() == 1,
+                      "full-graph batch holds " << parts.size() << " plan classes");
+  OracleId exec = exec_id(front, device);
+  if (parts.size() > 1) {
+    // A fused composition's identity: the first block's (its frontier under
+    // the device's config), then every further block's frontier. No plain
+    // identity ends in "+<frontier>".
+    std::string key = cost_oracle_.key(exec);
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      key += '+';
+      key += parts[i]->sampled->frontier->fingerprint;
+    }
+    exec = cost_oracle_.intern(key);
   }
-  std::string key =
-      device.klass == kNoClass ? std::string("L") : std::to_string(device.klass);
-  key += '|';
-  key += batch.requests.front().class_key;  // the fuse class
-  key += '|';
-  key += util::hex64(fnv.value());
-  return key;
-}
+  if (exec >= results_.size()) {
+    results_.resize(static_cast<std::size_t>(exec) + 1);
+  }
+  // Identically configured device classes share the exec id, so a result
+  // another class already paid for is found here (and the shared plan cache
+  // means at most one compile across the whole fleet).
+  if (results_[exec] != nullptr) {
+    return exec;
+  }
 
-void Server::ensure_sampled_results(Device& device, const DispatchBatch& batch) {
-  const std::string key = sampled_exec_key(device, batch);
-  if (sampled_results_.contains(key)) {
-    return;
-  }
-  const std::vector<const SampledQuery*> parts = sampled_composition(batch);
-  const QueuedRequest& front = batch.requests.front();
   const core::SimulationRequest sim = sim_for_device(front.request.sim, device);
   sim::Tracer tracer;
-  sim::Tracer* tp = nullptr;
-  if (obs_wants_engine_spans()) {
+  sim::Tracer* traced = nullptr;
+  if (obs_ != nullptr && obs_->options().engine_spans) {
+    // Engine-span capture: the execution is traced once, when it is first
+    // memoized, and its window template is anchored at every dispatch.
     tracer.enable(kEngineTraceCap);
-    tp = &tracer;
+    traced = &tracer;
   }
   core::ExecutionResult result;
-  if (parts.size() == 1) {
-    result = device.engine->run(*parts.front()->dataset, sim.model, sim, tp);
+  if (front.sampled == nullptr) {
+    result = device.engine->run(sim, traced);
+  } else if (parts.size() == 1) {
+    result = device.engine->run(*front.sampled->dataset, sim.model, sim, traced);
   } else {
     // Mixed-batch fusion: one block-diagonal subgraph, one compiled plan,
     // one device pass for every distinct frontier in the batch.
     std::vector<const graph::SampledSubgraph*> frontiers;
     frontiers.reserve(parts.size());
-    for (const SampledQuery* p : parts) {
-      frontiers.push_back(p->frontier.get());
+    for (const QueuedRequest* part : parts) {
+      frontiers.push_back(part->sampled->frontier.get());
     }
-    const graph::SampledSubgraph fused = graph::fuse_subgraphs(frontiers);
-    const RegisteredDataset& base = registered(front.request.sim.dataset);
-    const graph::Dataset fused_dataset = graph::subgraph_dataset(*base.dataset, fused);
-    result = device.engine->run(fused_dataset, sim.model, sim, tp);
+    const graph::Dataset fused = graph::subgraph_dataset(
+        *registered(front.request.sim.dataset).dataset, graph::fuse_subgraphs(frontiers));
+    result = device.engine->run(fused, sim.model, sim, traced);
   }
-  if (tp != nullptr) {
-    obs_->store_engine_windows(key, obs::Recorder::windows_from_tracer(tracer));
+  if (traced != nullptr) {
+    obs_->store_engine_windows(cost_oracle_.key(exec), obs::Recorder::windows_from_tracer(tracer));
   }
   if (!options_.collect_results) {
+    // The memo only has to answer "how many cycles does this composition
+    // occupy a device for"; without collect_results, dropping the
+    // functional output keeps a long mixed-seed run from pinning one
+    // [V x out_dim] tensor per composition forever.
     result.output.reset();
   }
-  sampled_results_.emplace(key,
-                           std::make_shared<const core::ExecutionResult>(std::move(result)));
+  results_[exec] = std::make_shared<const core::ExecutionResult>(std::move(result));
+  return exec;
 }
 
-FeatureCache* Server::feature_cache_for(const QueuedRequest& queued) {
-  if (!options_.feature_cache.has_value()) {
+FeatureCache* Server::gather_for(const DispatchBatch& batch) {
+  const QueuedRequest& front = batch.requests.front();
+  if (front.sampled == nullptr || !options_.feature_cache.has_value()) {
     return nullptr;
   }
-  const std::string& name = queued.request.sim.dataset;
+  const std::string& name = front.request.sim.dataset;
   auto it = feature_caches_.find(name);
   if (it == feature_caches_.end()) {
     // Lazy build at the first sampled dispatch against this dataset — a
@@ -479,32 +446,29 @@ FeatureCache* Server::feature_cache_for(const QueuedRequest& queued) {
     // own on a legacy fleet).
     const RegisteredDataset& base = registered(name);
     const mem::DramModel::Config& dram = device_classes_.empty()
-                                             ? queued.request.sim.config.dram
+                                             ? front.request.sim.config.dram
                                              : device_classes_.front().config.dram;
     it = feature_caches_
-             .try_emplace(name, *base.dataset, graph::parse_fanout(queued.request.fanout),
+             .try_emplace(name, *base.dataset, graph::parse_fanout(front.request.fanout),
                           *options_.feature_cache, dram)
              .first;
+  }
+  gather_rows_.clear();
+  for (const QueuedRequest* part : composition(batch)) {
+    const std::vector<graph::NodeId>& vertices = part->sampled->frontier->vertices;
+    gather_rows_.insert(gather_rows_.end(), vertices.begin(), vertices.end());
   }
   return &it->second;
 }
 
-void Server::sampled_gather_rows(const DispatchBatch& batch,
-                                 std::vector<graph::NodeId>& rows) {
-  rows.clear();
-  for (const SampledQuery* p : sampled_composition(batch)) {
-    rows.insert(rows.end(), p->frontier->vertices.begin(), p->frontier->vertices.end());
-  }
-}
-
-Cycle Server::sampled_batch_service(Device& device, const DispatchBatch& batch) {
-  const auto it = sampled_results_.find(sampled_exec_key(device, batch));
-  GNNERATOR_CHECK_MSG(it != sampled_results_.end(), "sampled result missing at dispatch");
-  std::uint64_t device_cycles = it->second->cycles;
-  if (FeatureCache* cache = feature_cache_for(batch.requests.front())) {
-    std::vector<graph::NodeId> rows;
-    sampled_gather_rows(batch, rows);
-    device_cycles += cache->probe(rows).cycles;
+Cycle Server::batch_service(Device& device, const DispatchBatch& batch, OracleId exec) {
+  // One accelerator execution for the whole composition (coalesced
+  // requests share it), the feature gather of a sampled batch, and the
+  // per-request dispatch/response overhead. Device cycles are converted
+  // onto the server timeline through the class clock.
+  std::uint64_t device_cycles = results_[exec]->cycles;
+  if (const FeatureCache* cache = gather_for(batch)) {
+    device_cycles += cache->probe(gather_rows_).cycles;
   }
   return scaled_service(device,
                         to_server_cycles(device, device_cycles) +
@@ -512,118 +476,42 @@ Cycle Server::sampled_batch_service(Device& device, const DispatchBatch& batch) 
                                 static_cast<Cycle>(batch.requests.size()));
 }
 
-void Server::commit_sampled_gather(const DispatchBatch& batch) {
-  if (FeatureCache* cache = feature_cache_for(batch.requests.front())) {
-    std::vector<graph::NodeId> rows;
-    sampled_gather_rows(batch, rows);
-    cache->commit(rows);
+void Server::commit_gather(const DispatchBatch& batch) {
+  if (FeatureCache* cache = gather_for(batch)) {
+    cache->commit(gather_rows_);
   }
 }
 
-std::shared_ptr<const core::ExecutionResult> Server::sampled_result_for(
-    const QueuedRequest& queued, Device& device, const DispatchBatch& batch) {
-  const auto it = sampled_results_.find(sampled_exec_key(device, batch));
-  GNNERATOR_CHECK_MSG(it != sampled_results_.end(), "sampled result missing at completion");
-  const std::shared_ptr<const core::ExecutionResult>& fused = it->second;
-  if (!fused->output.has_value()) {
-    return fused;  // timing mode: nothing to scatter
+std::shared_ptr<const core::ExecutionResult> Server::result_for(const QueuedRequest& queued,
+                                                                const DispatchBatch& batch,
+                                                                OracleId exec) {
+  const std::shared_ptr<const core::ExecutionResult>& memo = results_[exec];
+  if (queued.sampled == nullptr || !memo->output.has_value()) {
+    return memo;  // full-graph, or timing mode: nothing to scatter
   }
   // Scatter: the request's rows are its seed vertices inside its own block
   // of the fused output (block offset = sum of preceding block sizes).
-  const std::vector<const SampledQuery*> parts = sampled_composition(batch);
   std::size_t offset = 0;
-  const graph::SampledSubgraph* frontier = nullptr;
-  for (const SampledQuery* p : parts) {
-    if (p->frontier->fingerprint_value == queued.sampled->frontier->fingerprint_value) {
-      frontier = p->frontier.get();
+  for (const QueuedRequest* part : composition(batch)) {
+    if (part->class_id == queued.class_id) {
       break;
     }
-    offset += p->frontier->vertices.size();
+    offset += part->sampled->frontier->vertices.size();
   }
-  GNNERATOR_CHECK_MSG(frontier != nullptr, "request's frontier missing from its batch");
-  const gnn::Tensor& full = *fused->output;
-  gnn::Tensor scattered(frontier->seeds.size(), full.cols());
-  for (std::size_t s = 0; s < frontier->seeds.size(); ++s) {
-    const std::span<const float> src = full.row(offset + frontier->seeds[s]);
+  const graph::SampledSubgraph& frontier = *queued.sampled->frontier;
+  const gnn::Tensor& full = *memo->output;
+  gnn::Tensor scattered(frontier.seeds.size(), full.cols());
+  for (std::size_t s = 0; s < frontier.seeds.size(); ++s) {
+    const std::span<const float> src = full.row(offset + frontier.seeds[s]);
     std::copy(src.begin(), src.end(), scattered.row(s).begin());
   }
   core::ExecutionResult result;
-  result.cycles = fused->cycles;
-  result.stats = fused->stats;
-  result.kernel_cycles_ticked = fused->kernel_cycles_ticked;
-  result.kernel_cycles_skipped = fused->kernel_cycles_skipped;
+  result.cycles = memo->cycles;
+  result.stats = memo->stats;
+  result.kernel_cycles_ticked = memo->kernel_cycles_ticked;
+  result.kernel_cycles_skipped = memo->kernel_cycles_skipped;
   result.output = std::move(scattered);
   return std::make_shared<const core::ExecutionResult>(std::move(result));
-}
-
-void Server::ensure_class_results(Device& device, const DispatchBatch& batch) {
-  std::vector<OracleId> missing;
-  std::vector<const QueuedRequest*> missing_reps;
-  for (const QueuedRequest& q : batch.requests) {
-    // Identically configured device classes share an execution identity,
-    // so a result another class already paid for is found here.
-    const OracleId identity = exec_id(q, device);
-    if (identity >= results_.size()) {
-      results_.resize(static_cast<std::size_t>(identity) + 1);
-    }
-    if (results_[identity] == nullptr &&
-        std::find(missing.begin(), missing.end(), identity) == missing.end()) {
-      missing.push_back(identity);
-      missing_reps.push_back(&q);
-    }
-  }
-  if (missing.empty()) {
-    return;
-  }
-  // One run_batch per dispatch covers every distinct class the batch needs;
-  // the shared plan cache means at most one compile across the whole fleet.
-  std::vector<core::SimulationRequest> sims;
-  sims.reserve(missing_reps.size());
-  for (const QueuedRequest* q : missing_reps) {
-    sims.push_back(sim_for_device(q->request.sim, device));
-  }
-  std::vector<core::ExecutionResult> results;
-  if (obs_wants_engine_spans()) {
-    // Engine-span capture: serial traced executions (results are identical
-    // to run_batch — each batch slot runs its functional arithmetic
-    // serially anyway), memoizing each class's window template.
-    results.reserve(sims.size());
-    for (std::size_t i = 0; i < sims.size(); ++i) {
-      results.push_back(obs_traced_run(device, sims[i], cost_oracle_.key(missing[i])));
-    }
-  } else {
-    results = device.engine->run_batch(sims);
-  }
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    if (!options_.collect_results) {
-      // The memo only has to answer "how many cycles does this class
-      // occupy a device for"; without collect_results, dropping the
-      // functional output keeps a long mixed-seed run from pinning one
-      // [V x out_dim] tensor per class forever.
-      results[i].output.reset();
-    }
-    results_[missing[i]] = std::make_shared<const core::ExecutionResult>(std::move(results[i]));
-  }
-}
-
-Cycle Server::batch_service_cycles(const Device& device, const DispatchBatch& batch) {
-  // One accelerator execution per distinct class (coalesced requests share
-  // it), plus the per-request dispatch/response overhead. Device cycles are
-  // converted onto the server timeline through the class clock.
-  std::uint64_t cycles = 0;
-  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    if (repeats_class(batch, i)) {
-      continue;
-    }
-    const OracleId identity = exec_id(batch.requests[i], device);
-    GNNERATOR_CHECK_MSG(identity < results_.size() && results_[identity] != nullptr,
-                        "class result missing at dispatch");
-    cycles += results_[identity]->cycles;
-  }
-  return scaled_service(device,
-                        to_server_cycles(device, cycles) +
-                            options_.per_request_overhead *
-                                static_cast<Cycle>(batch.requests.size()));
 }
 
 Cycle Server::scaled_service(const Device& device, Cycle cycles) const {
@@ -710,7 +598,8 @@ void Server::obs_terminal(const Outcome& record, Cycle now) {
   }
 }
 
-void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now) {
+void Server::obs_dispatch(Device& device, const DispatchBatch& batch, OracleId exec,
+                          Cycle now) {
   if (obs_ == nullptr) {
     return;
   }
@@ -727,49 +616,23 @@ void Server::obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now)
       obs_->request_event(std::move(ev));
     }
   }
-  // Measured execution windows (cost-oracle feed) and, when captured, the
-  // engine compute sub-spans — one entry per distinct class in the batch,
-  // anchored back-to-back at `now` exactly as the service-time sum prices
-  // them. All lookups hit memos warmed by the dispatch that called this.
+  // The measured execution window under the batch's plan class (the fuse
+  // class of a sampled batch) and, when captured, the engine compute
+  // sub-spans of its one execution, anchored at `now`. All lookups hit memos
+  // warmed by the dispatch that called this.
   std::vector<obs::EngineWindow> windows;
   if (opts.exec_windows || (opts.engine_spans && opts.device_timeline)) {
-    const std::string& dclass = obs_device_class_name(device);
-    const bool sampled = batch.requests.front().sampled != nullptr;
-    const auto anchor = [&](const std::string& key, Cycle offset) {
-      const std::vector<obs::EngineWindow>* tmpl = obs_->engine_windows(key);
-      if (tmpl == nullptr) {
-        return;
-      }
+    obs_->record_exec_window(batch.requests.front().class_key, obs_device_class_name(device),
+                             results_[exec]->cycles);
+    const std::vector<obs::EngineWindow>* tmpl =
+        opts.engine_spans && opts.device_timeline ? obs_->engine_windows(cost_oracle_.key(exec))
+                                                  : nullptr;
+    if (tmpl != nullptr) {
       for (const obs::EngineWindow& w : *tmpl) {
         obs::EngineWindow abs = w;
-        abs.begin = now + offset + scaled_service(device, to_server_cycles(device, w.begin));
-        abs.end = now + offset + scaled_service(device, to_server_cycles(device, w.end));
+        abs.begin = now + scaled_service(device, to_server_cycles(device, w.begin));
+        abs.end = now + scaled_service(device, to_server_cycles(device, w.end));
         windows.push_back(std::move(abs));
-      }
-    };
-    if (sampled) {
-      const std::string key = sampled_exec_key(device, batch);
-      const auto it = sampled_results_.find(key);
-      GNNERATOR_CHECK_MSG(it != sampled_results_.end(),
-                          "sampled result missing at obs dispatch");
-      obs_->record_exec_window(batch.requests.front().class_key, dclass, it->second->cycles);
-      if (opts.engine_spans && opts.device_timeline) {
-        anchor(key, 0);
-      }
-    } else {
-      Cycle offset = 0;
-      for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-        if (repeats_class(batch, i)) {
-          continue;
-        }
-        const QueuedRequest& q = batch.requests[i];
-        const OracleId identity = exec_id(q, device);
-        const std::uint64_t cycles = results_[identity]->cycles;
-        obs_->record_exec_window(q.class_key, dclass, cycles);
-        if (opts.engine_spans && opts.device_timeline) {
-          anchor(cost_oracle_.key(identity), offset);
-        }
-        offset += scaled_service(device, to_server_cycles(device, cycles));
       }
     }
   }
@@ -800,16 +663,6 @@ void Server::obs_complete(const Outcome& record, Cycle now) {
   ev.device = record.device;
   ev.value = record.service_cycles;
   obs_->request_event(std::move(ev));
-}
-
-core::ExecutionResult Server::obs_traced_run(Device& device,
-                                             const core::SimulationRequest& sim,
-                                             const std::string& exec_identity) {
-  sim::Tracer tracer;
-  tracer.enable(kEngineTraceCap);
-  core::ExecutionResult result = device.engine->run(sim, &tracer);
-  obs_->store_engine_windows(exec_identity, obs::Recorder::windows_from_tracer(tracer));
-  return result;
 }
 
 void Server::obs_finish_run(ServeReport& report, Cycle now) {

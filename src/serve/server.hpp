@@ -137,18 +137,23 @@ struct ServerOptions {
 /// serve() runs a deterministic discrete-event simulation in virtual device
 /// time: the workload source emits timed arrivals, the policy picks what an
 /// idle device runs next, and a dispatched batch occupies its device for
-/// the accelerator's own simulated cycle count (one execution per distinct
-/// plan-compatibility class in the batch — coalesced requests share it —
-/// plus a per-request dispatch overhead). Event order is total: ties break
-/// by (completions before arrivals before dispatch), device index, then
+/// the accelerator's own simulated cycle count of one execution, plus a
+/// per-request dispatch overhead. Event order is total: ties break by
+/// (completions before arrivals before dispatch), device index, then
 /// admission id, so two runs over the same (workload, seed, options) are
 /// bit-identical — policies can be compared on p99s without noise.
 ///
-/// The per-(plan class, device class) execution result is memoized
-/// (identical requests provably compute identical results on the same
-/// device class), so driving tens of thousands of requests through the
-/// fleet costs one accelerator simulation per distinct class pair — this
-/// is what PR 2's time-skipping kernel and PR 1/3's plan cache bought.
+/// Every batch runs through one execution path. A batch's *composition* is
+/// its distinct class ids in first-appearance order. A one-entry
+/// composition (every full-graph batch: schedulers group by class key; a
+/// sampled batch of one frontier) executes that class's own dataset; a
+/// multi-frontier sampled batch executes the block-diagonal fusion of its
+/// frontiers. Either way the execution is memoized by its exec id (the
+/// composition under the device's config, interned in the cost oracle):
+/// identical compositions provably compute identical results under one
+/// config, so identically configured device classes share the entry, and
+/// driving tens of thousands of requests through the fleet costs one
+/// accelerator simulation per distinct (composition, device config).
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -180,22 +185,21 @@ class Server {
   /// heterogeneous fleet the canonical (first) device class's config is
   /// substituted. The request's dataset must be registered.
   [[nodiscard]] std::string class_key(const core::SimulationRequest& sim) const;
-  /// The analytic prior for a request (cycles) under the canonical device
-  /// class — the cold-start value; never consults measurements.
-  [[nodiscard]] std::uint64_t cost_estimate(const core::SimulationRequest& sim);
-  /// cost_estimate blended with the measured execution history of
-  /// (plan class, canonical device class) — what SJF actually queues on
-  /// once observations exist.
-  [[nodiscard]] std::uint64_t calibrated_cost_estimate(const core::SimulationRequest& sim);
-  /// The analytic affinity oracle: estimated service cycles of a request on
-  /// one device, on the server timeline, including per-request overhead.
-  [[nodiscard]] std::uint64_t device_cost_estimate(const core::SimulationRequest& sim,
-                                                   std::size_t device);
-  /// device_cost_estimate with the measured-exact execution substituted
-  /// when the oracle has observed this (plan class, device class) — what
-  /// affinity placement actually uses.
-  [[nodiscard]] std::uint64_t calibrated_device_cost_estimate(
-      const core::SimulationRequest& sim, std::size_t device);
+  /// Raw device cycles of a request under the canonical device class, in
+  /// `mode`: kPrior is the analytic cold-start value (never consults
+  /// measurements); kBlended mixes in the measured history of (plan class,
+  /// canonical class) — what SJF queues on. Prices the prior on first use.
+  [[nodiscard]] std::uint64_t cost_estimate(
+      const core::SimulationRequest& sim,
+      core::CostOracle::Mode mode = core::CostOracle::Mode::kPrior);
+  /// Service cycles of a request on one device, on the server timeline,
+  /// including per-request overhead, in `mode`: kPrior is the analytic
+  /// affinity oracle; kExact substitutes the last measured execution when
+  /// the oracle has observed this (plan class, device config) — what
+  /// affinity placement uses. Prices the prior on first use.
+  [[nodiscard]] std::uint64_t device_cost_estimate(
+      const core::SimulationRequest& sim, std::size_t device,
+      core::CostOracle::Mode mode = core::CostOracle::Mode::kPrior);
   /// The measurement-calibrated cost oracle (analytic memo + measured
   /// (plan class, device class) windows; state persists across runs).
   [[nodiscard]] const core::CostOracle& cost_oracle() const { return cost_oracle_; }
@@ -242,13 +246,11 @@ class Server {
     /// Index into classes (expanded fleet); kNoClass on a legacy fleet.
     std::size_t klass = 0;
     Cycle busy_until = 0;
-    /// Record ids of the batch in flight (empty when idle). Dispatch fields
-    /// are stamped into the run's record vector in place and completion
-    /// stamps each id's record, so no Outcome is ever copied around.
-    std::vector<std::uint64_t> inflight_ids;
-    /// The queued requests behind inflight_ids, so a crash can requeue
-    /// exactly the aborted work with its annotations (moved from the
-    /// dispatch batch — no copies on the happy path).
+    /// The batch in flight (empty when idle), moved from the dispatch batch
+    /// (no copies on the happy path). Dispatch fields are stamped into the
+    /// run's record vector in place and completion stamps the record of
+    /// each request id, so no Outcome is ever copied around; a crash
+    /// requeues exactly this work with its annotations.
     std::vector<QueuedRequest> inflight_reqs;
     DeviceStats stats;
     // ---- Elastic state. ----------------------------------------------------
@@ -274,10 +276,7 @@ class Server {
 
   [[nodiscard]] const RegisteredDataset& registered(const std::string& name) const;
 
-  // ---- Sampled mini-batch serving (k-hop frontiers, mixed-batch fusion,
-  // pre-sampling feature cache). The event loop calls these at sequential
-  // points, which keeps sampled runs bitwise identical across sim_threads
-  // values.
+  // ---- Sampled queries (k-hop frontiers), resolved during annotation.
 
   /// sample_memo_ key of a sampled request: plan-compatibility class | seed
   /// | fanout. The class component matters: the memoized SampledQuery
@@ -301,38 +300,12 @@ class Server {
       const std::string& memo_key) const;
   std::shared_ptr<const SampledQuery> publish_sampled(
       std::string memo_key, std::shared_ptr<const SampledQuery> query);
-  /// Distinct frontiers of a sampled batch in first-appearance order — the
-  /// fused composition. Requests sharing a seed share one block.
-  [[nodiscard]] static std::vector<const SampledQuery*> sampled_composition(
-      const DispatchBatch& batch);
-  /// Memo key of a sampled batch's fused execution on one device class.
-  [[nodiscard]] std::string sampled_exec_key(const Device& device,
-                                             const DispatchBatch& batch) const;
-  /// Ensures the fused execution of the batch's composition is memoized:
-  /// fuses the distinct frontiers block-diagonally, materializes the fused
-  /// dataset, and runs it through `device`'s engine once (one compiled
-  /// plan for the whole mixed batch).
-  void ensure_sampled_results(Device& device, const DispatchBatch& batch);
-  /// Device occupancy of a sampled batch on the server timeline: the fused
-  /// execution's cycles plus the feature-gather cost (cache probe — pure,
-  /// so the shed fixpoint may price repeatedly) plus per-request overhead.
-  [[nodiscard]] Cycle sampled_batch_service(Device& device, const DispatchBatch& batch);
-  /// Commits the batch's feature gather into the cache (stats + LRU
-  /// mutations); call exactly once per dispatched batch, after the final
-  /// service pricing, when the device is actually occupied.
-  void commit_sampled_gather(const DispatchBatch& batch);
-  /// Per-request result scatter (collect_results): the rows of the
-  /// request's seed vertices, sliced out of the fused output at the
-  /// request's block offset.
-  [[nodiscard]] std::shared_ptr<const core::ExecutionResult> sampled_result_for(
-      const QueuedRequest& queued, Device& device, const DispatchBatch& batch);
-  /// The per-dataset feature cache (lazily built); null when
-  /// ServerOptions::feature_cache is unset.
-  [[nodiscard]] FeatureCache* feature_cache_for(const QueuedRequest& queued);
-  /// Base-graph vertex ids a sampled batch gathers (composition order,
-  /// each distinct frontier's vertices once).
-  static void sampled_gather_rows(const DispatchBatch& batch,
-                                  std::vector<graph::NodeId>& rows);
+
+  // ---- Execution identities and the cost query. All oracle mutation
+  // happens at sequential event points (admission pricing, dispatch commit,
+  // affinity placement) in one fixed order, so oracle state — and every
+  // decision derived from it — is bitwise identical across sim_threads
+  // values.
 
   /// The execution identity of one queued request on one device, interned
   /// in the cost oracle: the request's class (its exact frontier class when
@@ -354,16 +327,42 @@ class Server {
   /// compositions have no per-frontier measurement.
   [[nodiscard]] std::uint64_t device_cycles(const QueuedRequest& queued, const Device& device,
                                             core::CostOracle::Mode mode);
-  /// The public device estimates: the server-timeline cost of `sim` on one
-  /// device, including per-request overhead, in `mode` (prices the prior).
-  [[nodiscard]] Cycle device_estimate(const core::SimulationRequest& sim, std::size_t device,
-                                      core::CostOracle::Mode mode);
-  /// The memoized canonical execution of each distinct class of `batch` on
-  /// `device`, indexed by exec id; runs the missing ones through `device`'s
-  /// engine (one run_batch call).
-  void ensure_class_results(Device& device, const DispatchBatch& batch);
-  /// Device occupancy of a batch on `device`, on the server timeline.
-  [[nodiscard]] Cycle batch_service_cycles(const Device& device, const DispatchBatch& batch);
+
+  // ---- The one batch-execution path. The event loop calls these at
+  // sequential points (dispatch, commit, completion stamping), which keeps
+  // runs bitwise identical across sim_threads values.
+
+  /// A batch's composition: the first request of each distinct class id,
+  /// in first-appearance order (requests sharing a frontier share one block
+  /// of a fused execution). Fills and returns a scratch buffer, valid until
+  /// the next call.
+  const std::vector<const QueuedRequest*>& composition(const DispatchBatch& batch);
+  /// Returns the exec id of the batch's composition on `device` — a
+  /// one-entry composition's exec_id, or the fused composition's identity —
+  /// and ensures results_ memoizes its execution: that class's own dataset,
+  /// or the block-diagonal fusion of the distinct frontiers (one compiled
+  /// plan for the whole mixed batch), run once through `device`'s engine,
+  /// traced when engine spans are captured.
+  OracleId ensure_result(Device& device, const DispatchBatch& batch);
+  /// Device occupancy of a batch on the server timeline: the memoized
+  /// execution's cycles, plus a sampled batch's feature gather (a cache
+  /// probe — pure, so the shed fixpoint may price repeatedly), plus
+  /// per-request overhead.
+  [[nodiscard]] Cycle batch_service(Device& device, const DispatchBatch& batch, OracleId exec);
+  /// Commits a sampled batch's feature gather into the cache (stats + LRU
+  /// mutations); call exactly once per dispatched batch, after the final
+  /// service pricing, when the device is actually occupied.
+  void commit_gather(const DispatchBatch& batch);
+  /// The feature cache a sampled batch gathers through (lazily built; null
+  /// for full-graph batches and when ServerOptions::feature_cache is
+  /// unset), with gather_rows_ filled: every distinct frontier's base-graph
+  /// vertex ids, in composition order.
+  [[nodiscard]] FeatureCache* gather_for(const DispatchBatch& batch);
+  /// A request's result (collect_results): the memo entry, or for a
+  /// sampled request the rows of its seed vertices, sliced out of the
+  /// (fused) output at its block's offset.
+  [[nodiscard]] std::shared_ptr<const core::ExecutionResult> result_for(
+      const QueuedRequest& queued, const DispatchBatch& batch, OracleId exec);
   /// Converts device cycles of `device`'s class onto the server timeline
   /// (identity on a legacy fleet and whenever the clocks match).
   [[nodiscard]] Cycle to_server_cycles(const Device& device, std::uint64_t device_cycles) const;
@@ -394,32 +393,21 @@ class Server {
   /// [exec slot][class id] -> exec id (see exec_id); kNoId until first
   /// touched. Rows grow on demand.
   std::vector<std::vector<OracleId>> exec_ids_;
-  /// [exec id] -> canonical execution result (cycles + output), computed
-  /// once per (plan class, device config) for the whole fleet: identically
-  /// configured device classes share the exec id, hence the entry.
+  /// [exec id] -> execution result (cycles + output) of a batch
+  /// composition, computed once per (composition, device config) for the
+  /// whole fleet: identically configured device classes share the exec id,
+  /// hence the entry.
   std::vector<std::shared_ptr<const core::ExecutionResult>> results_;
-  /// (dataset | seed | fanout) -> resolved sampled query, so repeated seeds
-  /// sample once and coalesce (the sampled analogue of class_results_).
+  /// Scratch buffers of composition() and gather_for().
+  std::vector<const QueuedRequest*> composition_;
+  std::vector<graph::NodeId> gather_rows_;
+  /// (class | seed | fanout) -> resolved sampled query, so repeated seeds
+  /// sample once and coalesce. String-keyed: phase A of the annotation
+  /// reads it concurrently, before ids can be interned.
   std::unordered_map<std::string, std::shared_ptr<const SampledQuery>> sample_memo_;
-  /// (device class | fuse key | composition fingerprint) -> fused execution
-  /// of a sampled batch composition.
-  std::unordered_map<std::string, std::shared_ptr<const core::ExecutionResult>>
-      sampled_results_;
   /// Per-base-dataset pre-sampling feature caches (std::map: deterministic
   /// iteration when the report aggregates their stats).
   std::map<std::string, FeatureCache> feature_caches_;
-
-  // ---- Cost-oracle plumbing. -------------------------------------------------
-  // All mutation happens at sequential event points (admission pricing,
-  // dispatch commit, affinity placement) in one fixed order, so oracle
-  // state — and every decision derived from it — is bitwise identical
-  // across sim_threads values.
-
-  /// Feeds the batch's measured executions (one per distinct class) into
-  /// the oracle. Called at dispatch commit, right after obs_dispatch;
-  /// sampled batches are skipped (a fused composition's cycles are not a
-  /// per-frontier measurement).
-  void oracle_observe_dispatch(const Device& device, const DispatchBatch& batch);
 
   // ---- Fleet mutation driven by the event loop (faults, autoscaling). -------
   // The loop owns the per-run elastic state (fault cursor, requeue heap,
@@ -459,9 +447,9 @@ class Server {
   /// Terminal shed/fail: closes the request span and drops a control mark.
   void obs_terminal(const Outcome& record, Cycle now);
   /// A batch committed to a device: per-request kDispatch events, the busy
-  /// span, measured exec windows per distinct class, and (engine_spans)
-  /// engine sub-spans anchored at `now`.
-  void obs_dispatch(Device& device, const DispatchBatch& batch, Cycle now);
+  /// span, the measured exec window of its execution `exec`, and
+  /// (engine_spans) engine sub-spans anchored at `now`.
+  void obs_dispatch(Device& device, const DispatchBatch& batch, OracleId exec, Cycle now);
   /// The device's batch finished: closes the busy span (before the
   /// per-record kComplete events).
   void obs_device_complete(const Device& device, Cycle now);
@@ -470,18 +458,6 @@ class Server {
   /// publishes the report's metrics into the Registry and snapshots the
   /// ExecWindowLog onto the report. Called when the loop assembles the report.
   void obs_finish_run(ServeReport& report, Cycle now);
-  /// When engine-span capture is on, runs one traced execution through
-  /// `device`'s engine and memoizes its window template under the
-  /// execution identity's key; returns the result (results are identical
-  /// to the untraced run).
-  [[nodiscard]] core::ExecutionResult obs_traced_run(Device& device,
-                                                     const core::SimulationRequest& sim,
-                                                     const std::string& exec_identity);
-  /// Whether dispatch-time class executions should route through
-  /// obs_traced_run instead of run_batch.
-  [[nodiscard]] bool obs_wants_engine_spans() const {
-    return obs_ != nullptr && obs_->options().engine_spans;
-  }
   [[nodiscard]] std::uint32_t device_index(const Device& device) const {
     return static_cast<std::uint32_t>(&device - devices_.data());
   }

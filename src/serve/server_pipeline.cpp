@@ -402,19 +402,11 @@ struct Server::Pipeline {
   /// completion when the batch finishes. Returns true when the device was
   /// occupied (the batch was not fully shed).
   bool dispatch_batch_to(Device& device, std::uint32_t di, DispatchBatch batch) {
-    const bool sampled =
-        !batch.requests.empty() && batch.requests.front().sampled != nullptr;
-    const auto service_of = [&] {
-      return sampled ? server.sampled_batch_service(device, batch)
-                     : server.batch_service_cycles(device, batch);
-    };
+    OracleId exec = 0;
+    Cycle service = 0;
     while (!batch.requests.empty()) {
-      if (sampled) {
-        server.ensure_sampled_results(device, batch);
-      } else {
-        server.ensure_class_results(device, batch);
-      }
-      const Cycle service = service_of();
+      exec = server.ensure_result(device, batch);
+      service = server.batch_service(device, batch, exec);
       const std::size_t before = batch.requests.size();
       std::erase_if(batch.requests, [&](const QueuedRequest& queued) {
         Outcome& record = records[queued.request.id];
@@ -444,14 +436,18 @@ struct Server::Pipeline {
       return false;
     }
 
-    const Cycle service = service_of();
-    if (sampled) {
-      // The batch is committed to the device: apply the feature-cache LRU
-      // effects once, at this sequential point.
-      server.commit_sampled_gather(batch);
+    // The batch is committed to the device at `service` (the fixpoint's
+    // last pricing): apply the feature-cache LRU effects once, at this
+    // sequential point.
+    server.commit_gather(batch);
+    server.obs_dispatch(device, batch, exec, now);
+    const QueuedRequest& front = batch.requests.front();
+    if (front.sampled == nullptr) {
+      // Feed the measured execution into the cost oracle. Fused sampled
+      // executions are skipped: a composition's cycles are not a
+      // per-frontier measurement.
+      server.cost_oracle_.observe(front.class_id, exec, server.results_[exec]->cycles);
     }
-    server.obs_dispatch(device, batch, now);
-    server.oracle_observe_dispatch(device, batch);
     if (server.request_classes_.size() > 1) {
       // WFQ accounting at dispatch commit: charge the tier with the blended
       // cost on the device class that actually executes the batch, not the
@@ -466,7 +462,7 @@ struct Server::Pipeline {
                 : server.device_cycles(q, device, core::CostOracle::Mode::kBlended),
             1);
       }
-      scheduler->charge(batch.requests.front().tier, charge);
+      scheduler->charge(front.tier, charge);
     }
     for (const QueuedRequest& queued : batch.requests) {
       Outcome& record = records[queued.request.id];
@@ -475,10 +471,8 @@ struct Server::Pipeline {
       record.batch_size = static_cast<std::uint32_t>(batch.requests.size());
       record.service_cycles = service;
       if (server.options_.collect_results) {
-        record.result = sampled ? server.sampled_result_for(queued, device, batch)
-                                : server.results_[server.exec_id(queued, device)];
+        record.result = server.result_for(queued, batch, exec);
       }
-      device.inflight_ids.push_back(queued.request.id);
     }
     device.inflight_reqs = std::move(batch.requests);
     device.busy_until = now + service;
@@ -501,7 +495,7 @@ struct Server::Pipeline {
       if (device.health != DeviceHealth::kActive) {
         continue;  // crashed / scaled-out devices take no placements
       }
-      const bool busy = !device.inflight_ids.empty();
+      const bool busy = !device.inflight_reqs.empty();
       const Cycle start = busy ? device.busy_until : now;
       const Cycle eft =
           start +
@@ -729,7 +723,6 @@ struct Server::Pipeline {
         }
       }
     }
-    device.inflight_ids.clear();
     device.inflight_reqs.clear();
     device.busy_until = 0;
   }
@@ -744,7 +737,7 @@ struct Server::Pipeline {
       Cycle next = kNoDeadline;
       bool any_idle = false;
       for (const Device& device : server.devices_) {
-        if (!device.inflight_ids.empty()) {
+        if (!device.inflight_reqs.empty()) {
           next = std::min(next, device.busy_until);
         } else if (device.health == DeviceHealth::kActive) {
           any_idle = true;
@@ -797,19 +790,19 @@ struct Server::Pipeline {
 
       // ---- Completions (device-index order). ------------------------------
       for (Device& device : server.devices_) {
-        if (device.inflight_ids.empty() || device.busy_until != now) {
+        if (device.inflight_reqs.empty() || device.busy_until != now) {
           continue;
         }
         server.obs_device_complete(device, now);
-        for (const std::uint64_t id : device.inflight_ids) {
-          records[id].completion = now;
-          server.obs_complete(records[id], now);
+        for (const QueuedRequest& q : device.inflight_reqs) {
+          Outcome& record = records[q.request.id];
+          record.completion = now;
+          server.obs_complete(record, now);
           if (autoscaler.has_value()) {
-            autoscaler->observe(records[id].latency_ms(server.options_.clock_ghz));
+            autoscaler->observe(record.latency_ms(server.options_.clock_ghz));
           }
-          feed_back(records[id]);
+          feed_back(record);
         }
-        device.inflight_ids.clear();
         device.inflight_reqs.clear();
       }
 
@@ -844,7 +837,7 @@ struct Server::Pipeline {
           if (device.health != DeviceHealth::kActive) {
             continue;
           }
-          while (device.inflight_ids.empty()) {
+          while (device.inflight_reqs.empty()) {
             std::optional<DispatchBatch> popped = scheduler->pop(now);
             if (!popped) {
               break;
@@ -903,7 +896,6 @@ struct Server::Pipeline {
       device.klass = device.baseline_klass;
       device.slow_factor = 1.0;
       device.health_since = 0;
-      device.inflight_ids.clear();
       device.inflight_reqs.clear();
     }
     std::erase_if(server.devices_, [](const Device& device) { return device.ephemeral; });

@@ -357,7 +357,7 @@ TEST(CostOracleServe, SjfOrdersByBlendedCost) {
   // The public analytic estimate never consults measurements...
   EXPECT_EQ(server.cost_estimate(light), analytic_light);
   // ...but the calibrated estimate (what SJF queues on) follows them.
-  EXPECT_GT(server.calibrated_cost_estimate(light), analytic_heavy);
+  EXPECT_GT(server.cost_estimate(light, core::CostOracle::Mode::kBlended), analytic_heavy);
 
   // Wave 2: with the blend inverted, every heavy dispatches before any
   // light — the analytic memo alone would order them the other way.
@@ -425,7 +425,8 @@ TEST(CostOracleServe, AffinityPlacesSecondWaveOnMeasuredCycles) {
   for (int n = 0; n < 64; ++n) {
     server.mutable_cost_oracle().observe(plan_key, nextgen_identity, huge);
   }
-  EXPECT_GT(server.calibrated_device_cost_estimate(sim, 1), analytic_nextgen)
+  EXPECT_GT(server.device_cost_estimate(sim, 1, core::CostOracle::Mode::kExact),
+            analytic_nextgen)
       << "the calibrated estimate must reflect the measurement";
   EXPECT_EQ(server.device_cost_estimate(sim, 1), analytic_nextgen)
       << "the analytic estimate must not";

@@ -24,6 +24,7 @@
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "serve/faults.hpp"
+#include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "util/fnv.hpp"
@@ -622,6 +623,79 @@ TEST(ChromeTrace, BytesMatchGoldenAcrossThreadsUnderFaults) {
     EXPECT_EQ(util::hex64(util::fnv1a64(trace)), "f995392307d4a21d") << "trace bytes diverged";
     EXPECT_EQ(util::hex64(util::fnv1a64(run.recorder->registry().text_snapshot())), "465243d34ba2f218")
         << "registry snapshot diverged";
+  }
+}
+
+/// Every field of a report a caller can see, folded to one hash.
+std::string report_digest(const ServeReport& report) {
+  std::ostringstream os;
+  os << report.format() << '\n' << report.end_cycle << ' ' << report.events;
+  for (const serve::Outcome& o : report.outcomes) {
+    os << '\n'
+       << o.id << ',' << o.arrival << ',' << o.dispatch << ',' << o.completion << ','
+       << o.device << ',' << o.batch_size << ',' << o.shed << ',' << o.failed << ','
+       << o.retries << ',' << o.requeues << ',' << o.service_cycles << ',' << o.class_key;
+  }
+  return util::hex64(util::fnv1a64(os.str()));
+}
+
+/// Sampled serving under the full recorder: dynamic batching fuses distinct
+/// frontiers into one device pass, the feature cache prices their gathers,
+/// and a crash aborts in-flight fused batches. Pins what a recorder sees of
+/// fused batches (busy spans, engine windows anchored from the fused
+/// execution's template, exec windows under the fuse class) along with the
+/// report and the cost oracle's state. The goldens were recorded from the
+/// build whose sampled batches still had their own string-keyed result memo.
+TEST(ChromeTrace, SampledFusedBytesMatchGoldenAcrossThreads) {
+  ServerOptions options;
+  options.fleet = serve::parse_fleet_spec("1xbaseline,1xnextgen");
+  options.policy = serve::SchedulingPolicy::kDynamicBatch;
+  options.limits.batch_window = serve::ms_to_cycles(0.1, options.clock_ghz);
+  options.limits.max_batch = 8;
+  options.default_slo_ms = 25.0;
+  serve::FeatureCacheOptions cache;
+  cache.budget_bytes = 512 << 10;
+  options.feature_cache = cache;
+  options.faults =
+      serve::parse_fault_plan("crash@1.55ms:dev1,recover@2.5ms:dev1", options.clock_ghz);
+  RecorderOptions rec;
+  rec.request_spans = true;
+  rec.device_timeline = true;
+  rec.exec_windows = true;
+  rec.engine_spans = true;
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    ServerOptions o = options;
+    o.sim_threads = threads;
+    auto recorder = std::make_shared<Recorder>(rec);
+    o.recorder = recorder;
+    Server server(o);
+    const graph::Dataset& cora =
+        server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+    std::vector<serve::SampledQueryWorkload::Entry> entries;
+    for (const RequestTemplate& t : cora_mix()) {
+      entries.push_back(serve::SampledQueryWorkload::Entry{t, &cora, "6,4"});
+    }
+    serve::SampledQueryWorkload workload(std::move(entries), /*rate_rps=*/40'000.0,
+                                         /*num_requests=*/240, o.clock_ghz, /*seed=*/53);
+    const ServeReport report = server.serve(workload);
+    ASSERT_GT(report.metrics.retries, 0u) << "the crash should abort in-flight work";
+    std::size_t fused = 0;
+    for (const serve::Outcome& outcome : report.outcomes) {
+      fused += outcome.batch_size > 1 ? 1 : 0;
+    }
+    ASSERT_GT(fused, 0u) << "the window should fuse frontiers";
+
+    const std::string trace = chrome_trace_string(*recorder);
+    EXPECT_TRUE(JsonChecker(trace).valid());
+    EXPECT_EQ(trace.size(), 616887u);
+    EXPECT_EQ(util::hex64(util::fnv1a64(trace)), "5be75b72870a8ab8") << "trace bytes diverged";
+    EXPECT_EQ(util::hex64(util::fnv1a64(recorder->registry().text_snapshot())), "01a997ce9f56c569")
+        << "registry snapshot diverged";
+    EXPECT_EQ(report_digest(report), "52eb8080f915c5fa") << "report diverged";
+    EXPECT_EQ(util::hex64(server.cost_oracle().state_fingerprint()), "a35bff76f1f63dac")
+        << "cost oracle state diverged";
   }
 }
 

@@ -1,9 +1,10 @@
-// Heap allocations per request on the warm heterogeneous affinity path.
+// Heap allocations per request on two warm serving paths: heterogeneous
+// affinity placement, and sampled serving with fused batches.
 //
 // This suite replaces the global allocation functions with counting ones;
 // it is its own test binary, so no other suite sees the counter. At
 // sim_threads 1 the serving loop is single-threaded and deterministic, so
-// the count is exact and reproducible: the gate measures the placer's
+// the count is exact and reproducible: each gate measures the serving path's
 // per-request allocation cost, not allocator noise.
 #include <gtest/gtest.h>
 
@@ -11,8 +12,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
+#include "core/gnnerator.hpp"
+#include "graph/datasets.hpp"
 #include "serve/server.hpp"
+#include "serve/workload.hpp"
 #include "warm_affinity_scenario.hpp"
 
 namespace {
@@ -100,6 +106,56 @@ TEST(ServeAlloc, WarmAffinityServeStaysWithinAllocationBudget) {
   const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
   ASSERT_EQ(report.outcomes.size(), kRequests);
   EXPECT_GT(report.max_queue_depth, 100u) << "the scenario should build a backlog";
+  const double per_request = static_cast<double>(allocations) / static_cast<double>(kRequests);
+  RecordProperty("allocs_per_request", std::to_string(per_request));
+  EXPECT_LE(per_request, kBudgetPerRequest)
+      << allocations << " heap allocations over " << kRequests << " requests";
+}
+
+/// A measured serve of 2,000 sampled cora queries on a warm server: dynamic
+/// batching fuses distinct frontiers block-diagonally, and the feature cache
+/// prices every gather. The warm-up serves the same workload, so every seed
+/// is already sampled and the measured serve allocates on the dispatch path
+/// (compositions, fused executions, gathers), not in the sampler. The budget
+/// is the count of the build whose fused batches had their own string-keyed
+/// result memo (87,493 allocations); one execution path makes ≈33.
+TEST(ServeAlloc, WarmSampledFusedServeStaysWithinAllocationBudget) {
+  constexpr std::size_t kRequests = 2000;
+  constexpr double kBudgetPerRequest = 43.7465;
+  ServerOptions options;
+  options.num_devices = 3;
+  options.policy = SchedulingPolicy::kDynamicBatch;
+  options.limits.batch_window = ms_to_cycles(0.1, options.clock_ghz);
+  options.limits.max_batch = 8;
+  FeatureCacheOptions cache;
+  cache.budget_bytes = 512 << 10;
+  options.feature_cache = cache;
+  Server server(options);
+  const graph::Dataset& cora =
+      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+  const auto serve_sampled = [&] {
+    std::vector<SampledQueryWorkload::Entry> entries;
+    for (const gnn::LayerKind kind : {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean}) {
+      RequestTemplate t;
+      t.sim.dataset = "cora";
+      t.sim.model = core::table3_model(kind, *graph::find_dataset("cora"));
+      t.sim.mode = core::SimMode::kTiming;
+      entries.push_back(SampledQueryWorkload::Entry{t, &cora, "6,4"});
+    }
+    SampledQueryWorkload workload(std::move(entries), /*rate_rps=*/15'000.0, kRequests,
+                                  options.clock_ghz, /*seed=*/901);
+    return server.serve(workload);
+  };
+  (void)serve_sampled();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const ServeReport report = serve_sampled();
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_EQ(report.outcomes.size(), kRequests);
+  std::size_t fused = 0;
+  for (const Outcome& outcome : report.outcomes) {
+    fused += outcome.batch_size > 1 ? 1 : 0;
+  }
+  EXPECT_GT(fused, kRequests / 4) << "the window should fuse frontiers";
   const double per_request = static_cast<double>(allocations) / static_cast<double>(kRequests);
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_LE(per_request, kBudgetPerRequest)

@@ -326,71 +326,104 @@ TEST(ServeProperty, RandomScenariosUpholdInvariants) {
 
 /// Differential: a heterogeneous fleet whose device classes are all
 /// identical to the default (Table IV) config must reproduce the
-/// homogeneous Server's completion records bitwise, for every policy.
+/// homogeneous Server's completion records bitwise, for every policy, on
+/// full-graph and on sampled (fused) workloads. It must also do the same
+/// work: identically configured classes share every execution, so the plan
+/// cache sees the same hits and misses on both fleets.
 TEST(ServeProperty, IdenticalClassFleetMatchesHomogeneousBitwise) {
   for (const SchedulingPolicy policy :
        {SchedulingPolicy::kFifo, SchedulingPolicy::kSjf, SchedulingPolicy::kDynamicBatch,
         SchedulingPolicy::kAffinity}) {
-    SCOPED_TRACE(std::string(policy_name(policy)));
+    for (const bool sampled : {false, true}) {
+      SCOPED_TRACE(std::string(policy_name(policy)) + (sampled ? " sampled" : " full-graph"));
 
-    const auto run = [&](bool heterogeneous) {
-      ServerOptions options;
-      options.policy = policy;
-      options.limits.batch_window = ms_to_cycles(0.1, options.clock_ghz);
-      options.default_slo_ms = 1.5;
-      if (heterogeneous) {
-        // Two classes, both the default config: the class-aware machinery
-        // (key substitution, clock conversion, per-class memoization) must
-        // degrade to an exact no-op.
-        DeviceClass a = *find_device_class("baseline");
-        a.name = "a";
-        a.count = 2;
-        DeviceClass b = *find_device_class("baseline");
-        b.name = "b";
-        b.count = 1;
-        options.fleet = {a, b};
-      } else {
-        options.num_devices = 3;
-      }
-      Server server(options);
-      server.add_dataset(graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
-      std::vector<RequestTemplate> mix;
-      for (const gnn::LayerKind kind :
-           {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean, gnn::LayerKind::kSagePool}) {
-        RequestTemplate t;
-        t.sim = timing_sim("cora", kind);
-        mix.push_back(std::move(t));
-      }
-      PoissonWorkload workload(mix, /*rate_rps=*/15000.0, /*num_requests=*/200,
-                               options.clock_ghz, /*seed=*/77);
-      return server.serve(workload);
-    };
+      struct Run {
+        ServeReport report;
+        core::PlanCacheStats cache;
+      };
+      const auto run = [&](bool heterogeneous) {
+        ServerOptions options;
+        options.policy = policy;
+        options.limits.batch_window = ms_to_cycles(0.1, options.clock_ghz);
+        options.default_slo_ms = 1.5;
+        if (sampled) {
+          options.limits.max_batch = 8;
+        }
+        if (heterogeneous) {
+          // Two classes, both the default config: the class-aware machinery
+          // (key substitution, clock conversion, per-class memoization) must
+          // degrade to an exact no-op.
+          DeviceClass a = *find_device_class("baseline");
+          a.name = "a";
+          a.count = 2;
+          DeviceClass b = *find_device_class("baseline");
+          b.name = "b";
+          b.count = 1;
+          options.fleet = {a, b};
+        } else {
+          options.num_devices = 3;
+        }
+        Server server(options);
+        const graph::Dataset& cora = server.add_dataset(
+            graph::make_dataset_by_name("cora", 1, /*with_features=*/false));
+        std::vector<RequestTemplate> mix;
+        for (const gnn::LayerKind kind :
+             {gnn::LayerKind::kGcn, gnn::LayerKind::kSageMean, gnn::LayerKind::kSagePool}) {
+          RequestTemplate t;
+          t.sim = timing_sim("cora", kind);
+          mix.push_back(std::move(t));
+        }
+        Run result;
+        if (sampled) {
+          std::vector<SampledQueryWorkload::Entry> entries;
+          for (RequestTemplate& t : mix) {
+            entries.push_back(SampledQueryWorkload::Entry{std::move(t), &cora, "6,4"});
+          }
+          SampledQueryWorkload workload(std::move(entries), /*rate_rps=*/15000.0,
+                                        /*num_requests=*/600, options.clock_ghz,
+                                        /*seed=*/901);
+          result.report = server.serve(workload);
+        } else {
+          PoissonWorkload workload(mix, /*rate_rps=*/15000.0, /*num_requests=*/200,
+                                   options.clock_ghz, /*seed=*/77);
+          result.report = server.serve(workload);
+        }
+        result.cache = server.cache_stats();
+        return result;
+      };
 
-    const ServeReport homogeneous = run(false);
-    const ServeReport heterogeneous = run(true);
-    ASSERT_EQ(homogeneous.outcomes.size(), heterogeneous.outcomes.size());
-    EXPECT_EQ(homogeneous.end_cycle, heterogeneous.end_cycle);
-    for (std::size_t i = 0; i < homogeneous.outcomes.size(); ++i) {
-      const Outcome& x = homogeneous.outcomes[i];
-      const Outcome& y = heterogeneous.outcomes[i];
-      SCOPED_TRACE("request " + std::to_string(i));
-      EXPECT_EQ(x.id, y.id);
-      EXPECT_EQ(x.arrival, y.arrival);
-      EXPECT_EQ(x.dispatch, y.dispatch);
-      EXPECT_EQ(x.completion, y.completion);
-      EXPECT_EQ(x.device, y.device);
-      EXPECT_EQ(x.batch_size, y.batch_size);
-      EXPECT_EQ(x.shed, y.shed);
-      EXPECT_EQ(x.service_cycles, y.service_cycles);
-      EXPECT_EQ(x.class_key, y.class_key);
-      EXPECT_EQ(x.klass, y.klass);
-      EXPECT_EQ(x.applied_slo_ms, y.applied_slo_ms);
+      const Run homogeneous_run = run(false);
+      const Run heterogeneous_run = run(true);
+      const ServeReport& homogeneous = homogeneous_run.report;
+      const ServeReport& heterogeneous = heterogeneous_run.report;
+      ASSERT_EQ(homogeneous.outcomes.size(), heterogeneous.outcomes.size());
+      EXPECT_EQ(homogeneous.end_cycle, heterogeneous.end_cycle);
+      for (std::size_t i = 0; i < homogeneous.outcomes.size(); ++i) {
+        const Outcome& x = homogeneous.outcomes[i];
+        const Outcome& y = heterogeneous.outcomes[i];
+        SCOPED_TRACE("request " + std::to_string(i));
+        EXPECT_EQ(x.id, y.id);
+        EXPECT_EQ(x.arrival, y.arrival);
+        EXPECT_EQ(x.dispatch, y.dispatch);
+        EXPECT_EQ(x.completion, y.completion);
+        EXPECT_EQ(x.device, y.device);
+        EXPECT_EQ(x.batch_size, y.batch_size);
+        EXPECT_EQ(x.shed, y.shed);
+        EXPECT_EQ(x.service_cycles, y.service_cycles);
+        EXPECT_EQ(x.class_key, y.class_key);
+        EXPECT_EQ(x.klass, y.klass);
+        EXPECT_EQ(x.applied_slo_ms, y.applied_slo_ms);
+      }
+      EXPECT_EQ(homogeneous.metrics.completed, heterogeneous.metrics.completed);
+      EXPECT_EQ(homogeneous.metrics.shed, heterogeneous.metrics.shed);
+      EXPECT_EQ(homogeneous.metrics.p50_ms, heterogeneous.metrics.p50_ms);
+      EXPECT_EQ(homogeneous.metrics.p95_ms, heterogeneous.metrics.p95_ms);
+      EXPECT_EQ(homogeneous.metrics.p99_ms, heterogeneous.metrics.p99_ms);
+      EXPECT_EQ(homogeneous_run.cache.hits, heterogeneous_run.cache.hits)
+          << "one fleet re-ran executions the other shared";
+      EXPECT_EQ(homogeneous_run.cache.misses, heterogeneous_run.cache.misses)
+          << "one fleet recompiled plans the other kept";
     }
-    EXPECT_EQ(homogeneous.metrics.completed, heterogeneous.metrics.completed);
-    EXPECT_EQ(homogeneous.metrics.shed, heterogeneous.metrics.shed);
-    EXPECT_EQ(homogeneous.metrics.p50_ms, heterogeneous.metrics.p50_ms);
-    EXPECT_EQ(homogeneous.metrics.p95_ms, heterogeneous.metrics.p95_ms);
-    EXPECT_EQ(homogeneous.metrics.p99_ms, heterogeneous.metrics.p99_ms);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/cumulative_sampler.hpp"
 
 namespace gnnerator::serve {
 
@@ -44,8 +45,9 @@ FeatureCache::FeatureCache(const graph::Dataset& base, const graph::FanoutSpec& 
     for (graph::NodeId v = 0; v < num_nodes; ++v) {
       seed_weights[v] = static_cast<double>(base.graph.in_degree(v)) + 1.0;
     }
+    const util::CumulativeSampler seeds(seed_weights);
     for (std::size_t t = 0; t < options.trial_samples; ++t) {
-      const auto seed = static_cast<graph::NodeId>(prng.weighted_index(seed_weights));
+      const auto seed = static_cast<graph::NodeId>(seeds.draw(prng));
       const graph::SampledSubgraph trial =
           graph::sample_frontier(base.graph, {seed}, fanout, prng);
       for (const graph::NodeId parent : trial.vertices) {
@@ -68,16 +70,18 @@ FeatureCache::FeatureCache(const graph::Dataset& base, const graph::FanoutSpec& 
   const std::uint64_t total_rows = options.budget_bytes / row_bytes_;
   const std::uint64_t pinned_budget_rows =
       static_cast<std::uint64_t>(static_cast<double>(total_rows) * fraction);
-  pinned_.assign(num_nodes, 0);
+  state_.assign(num_nodes, kAbsent);
   std::uint64_t pinned_count = 0;
   for (const graph::NodeId v : ranked) {
     if (pinned_count >= pinned_budget_rows || freq[v] == 0) {
       break;  // never pin rows the ranking has no evidence for
     }
-    pinned_[v] = 1;
+    state_[v] = kPinned;
     ++pinned_count;
   }
   dynamic_capacity_ = static_cast<std::size_t>(total_rows - pinned_count);
+  prev_.assign(num_nodes, kNil);
+  next_.assign(num_nodes, kNil);
 
   stats_.pinned_rows = pinned_count;
   stats_.budget_bytes = options.budget_bytes;
@@ -112,21 +116,40 @@ void FeatureCache::commit(std::span<const graph::NodeId> rows) {
     return;
   }
   for (const graph::NodeId v : rows) {
-    if (pinned_[v] != 0) {
+    if (state_[v] == kPinned) {
       continue;
     }
-    if (const auto it = lru_index_.find(v); it != lru_index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
+    if (state_[v] == kInLru) {
+      unlink(v);
+      push_front(v);
       continue;
     }
-    lru_.push_front(v);
-    lru_index_[v] = lru_.begin();
-    while (lru_.size() > dynamic_capacity_) {
-      lru_index_.erase(lru_.back());
-      lru_.pop_back();
-      ++stats_.evictions;
+    state_[v] = kInLru;
+    push_front(v);
+    if (lru_size_ < dynamic_capacity_) {
+      ++lru_size_;
+      continue;
     }
+    // Over capacity: the coldest row makes room.
+    const graph::NodeId cold = tail_;
+    unlink(cold);
+    state_[cold] = kAbsent;
+    ++stats_.evictions;
   }
+}
+
+void FeatureCache::unlink(graph::NodeId v) {
+  const graph::NodeId before = prev_[v];
+  const graph::NodeId after = next_[v];
+  (before == kNil ? head_ : next_[before]) = after;
+  (after == kNil ? tail_ : prev_[after]) = before;
+}
+
+void FeatureCache::push_front(graph::NodeId v) {
+  prev_[v] = kNil;
+  next_[v] = head_;
+  (head_ == kNil ? tail_ : prev_[head_]) = v;
+  head_ = v;
 }
 
 }  // namespace gnnerator::serve

@@ -1,9 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/sample.hpp"
@@ -38,8 +37,11 @@ struct FeatureCacheOptions {
 /// Pre-sampling feature cache for one base dataset. Deterministic: the
 /// pinned set is fixed at construction from a seeded ranking pre-pass, and
 /// the dynamic region is strict LRU mutated only through commit() — which
-/// the server calls at one sequential point per dispatched batch, so both
-/// serving loops (reference and pipeline) observe identical cache states.
+/// the server calls at one sequential point per dispatched batch, so the
+/// cache state is a pure function of the dispatch sequence at any thread
+/// count. The LRU is a dense intrusive list over base-graph vertex ids
+/// (prev/next arrays plus one residency byte per vertex): probes and commits
+/// neither hash nor allocate.
 ///
 /// probe() and commit() classify every row against the cache state at call
 /// time with no intra-gather effects: duplicate rows of one gather that
@@ -82,17 +84,27 @@ class FeatureCache {
   [[nodiscard]] std::size_t dynamic_capacity_rows() const { return dynamic_capacity_; }
 
  private:
-  [[nodiscard]] bool resident(graph::NodeId v) const {
-    return pinned_[v] != 0 || lru_index_.find(v) != lru_index_.end();
-  }
+  /// Residency of one base-graph vertex.
+  enum : std::uint8_t { kAbsent = 0, kPinned = 1, kInLru = 2 };
+  static constexpr graph::NodeId kNil = std::numeric_limits<graph::NodeId>::max();
+
+  [[nodiscard]] bool resident(graph::NodeId v) const { return state_[v] != kAbsent; }
+  /// Detaches `v` from the LRU list (its links are left stale).
+  void unlink(graph::NodeId v);
+  /// Links `v` in as the hottest LRU entry.
+  void push_front(graph::NodeId v);
 
   std::uint64_t row_bytes_;
   Cycle miss_cycles_;
   Cycle hit_cycles_;
-  std::vector<char> pinned_;  // bitmask over base-graph vertices
+  std::vector<std::uint8_t> state_;  // per base-graph vertex
   std::size_t dynamic_capacity_ = 0;
-  std::list<graph::NodeId> lru_;  // front = hottest
-  std::unordered_map<graph::NodeId, std::list<graph::NodeId>::iterator> lru_index_;
+  // LRU links per vertex, head_ = hottest, tail_ = next to evict.
+  std::vector<graph::NodeId> prev_;
+  std::vector<graph::NodeId> next_;
+  graph::NodeId head_ = kNil;
+  graph::NodeId tail_ = kNil;
+  std::size_t lru_size_ = 0;
   FeatureCacheStats stats_;
 };
 

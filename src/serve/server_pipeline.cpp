@@ -88,6 +88,8 @@ struct Server::Pipeline {
 
   /// One arrival with the expensive admit-time work precomputed.
   struct Annotated {
+    explicit Annotated(Request r) : request(std::move(r)) {}
+
     Request request;
     std::string key;            ///< canonical plan-class key (phase A)
     std::uint32_t class_id = 0; ///< cost-oracle id (phase B)
@@ -303,7 +305,7 @@ struct Server::Pipeline {
       }
       buffer.reserve(pulled.size());
       for (Request& r : pulled) {
-        buffer.push_back(Annotated{std::move(r)});
+        buffer.emplace_back(std::move(r));
       }
     } else {
       if (order_pos == order.size()) {
@@ -312,7 +314,7 @@ struct Server::Pipeline {
       const std::size_t n = std::min(kIntakeChunk, order.size() - order_pos);
       buffer.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        buffer.push_back(Annotated{std::move(materialized[order[order_pos + i]])});
+        buffer.emplace_back(std::move(materialized[order[order_pos + i]]));
       }
       order_pos += n;
     }
@@ -819,7 +821,7 @@ struct Server::Pipeline {
           continue;
         }
         if (!feedback.empty() && feedback.top().at == now) {
-          Annotated a{pop_item(feedback)};
+          Annotated a(pop_item(feedback));
           a.request.arrival = now;
           annotate_serial(a);
           admit(std::move(a));

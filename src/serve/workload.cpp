@@ -85,7 +85,7 @@ SampledQueryWorkload::SampledQueryWorkload(std::vector<Entry> entries, double ra
   GNNERATOR_CHECK_MSG(!entries_.empty(), "sampled workload needs a non-empty entry mix");
   GNNERATOR_CHECK_MSG(rate_rps_ > 0.0, "sampled workload arrival rate must be positive");
   entry_weights_.reserve(entries_.size());
-  seed_weights_.reserve(entries_.size());
+  seed_samplers_.reserve(entries_.size());
   for (const Entry& e : entries_) {
     GNNERATOR_CHECK_MSG(e.dataset != nullptr, "sampled workload entry needs a base dataset");
     GNNERATOR_CHECK_MSG(!e.fanout.empty(), "sampled workload entry needs a fanout spec");
@@ -97,7 +97,7 @@ SampledQueryWorkload::SampledQueryWorkload(std::vector<Entry> entries, double ra
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       weights[v] = static_cast<double>(g.in_degree(v)) + 1.0;
     }
-    seed_weights_.push_back(std::move(weights));
+    seed_samplers_.emplace_back(weights);
   }
 }
 
@@ -110,7 +110,7 @@ std::vector<Request> SampledQueryWorkload::initial_arrivals() {
     now += exponential_cycles(prng_, mean_gap_cycles);
     const std::size_t e = prng_.weighted_index(entry_weights_);
     Request request = instantiate(entries_[e].tmpl, now);
-    request.seed = static_cast<std::int64_t>(prng_.weighted_index(seed_weights_[e]));
+    request.seed = static_cast<std::int64_t>(seed_samplers_[e].draw(prng_));
     request.fanout = entries_[e].fanout;
     arrivals.push_back(std::move(request));
   }

@@ -7,6 +7,7 @@
 #include "graph/datasets.hpp"
 #include "serve/request.hpp"
 #include "util/csv.hpp"
+#include "util/cumulative_sampler.hpp"
 #include "util/prng.hpp"
 
 namespace gnnerator::serve {
@@ -105,8 +106,8 @@ class SampledQueryWorkload final : public WorkloadSource {
  private:
   std::vector<Entry> entries_;
   std::vector<double> entry_weights_;
-  /// Per entry: in_degree(v) + 1 over the entry's base graph.
-  std::vector<std::vector<double>> seed_weights_;
+  /// Per entry: seed draws weighted by in_degree(v) + 1 over its base graph.
+  std::vector<util::CumulativeSampler> seed_samplers_;
   double rate_rps_;
   std::size_t num_requests_;
   double clock_ghz_;

@@ -583,7 +583,7 @@ TEST(ChromeTrace, EscapesHostileLabels) {
                                    .tier = 0,
                                    .detail = "class\"with\\quotes\nand\x01控制"});
   recorder.request_event(
-      SpanEvent{.request = 0, .at = 5, .phase = SpanPhase::kComplete, .value = 4});
+      SpanEvent{.request = 0, .at = 5, .phase = SpanPhase::kComplete, .value = 4, .detail = {}});
   recorder.open_busy(0, 1, 1, "plan\"q\"");
   recorder.close_busy(0, 5, false);
   recorder.end_run(10);

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <list>
+#include <numeric>
 #include <set>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -286,6 +291,233 @@ TEST(FeatureCache, RankingPinsHotVerticesDeterministically) {
   const FeatureCache::Gather gb = b.probe(all);
   EXPECT_EQ(ga.hits, gb.hits);
   EXPECT_EQ(ga.cycles, gb.cycles);
+}
+
+// ------------------------------------------------ LRU differential test --
+/// The list + hash-map LRU the dense intrusive one replaced, with its
+/// ranking pre-pass drawing trial seeds through Prng::weighted_index: the
+/// oracle for FeatureCache's pinned set, classification and LRU order. It
+/// also counts rows evicted and re-touched within one commit, so the test
+/// can check that its streams reach that case.
+class ListMapFeatureCache {
+ public:
+  ListMapFeatureCache(const graph::Dataset& base, const graph::FanoutSpec& fanout,
+                      const FeatureCacheOptions& options, const mem::DramModel::Config& dram) {
+    const graph::NodeId num_nodes = base.graph.num_nodes();
+    row_bytes_ = static_cast<std::uint64_t>(base.spec.feature_dim) * sizeof(float);
+    const auto ceil_cycles = [](double bytes, double bytes_per_cycle) {
+      const auto whole = static_cast<Cycle>(std::ceil(bytes / bytes_per_cycle));
+      return whole == 0 ? Cycle{1} : whole;
+    };
+    miss_cycles_ = static_cast<Cycle>(dram.latency_cycles) +
+                   ceil_cycles(static_cast<double>(row_bytes_), dram.bytes_per_cycle);
+    hit_cycles_ = ceil_cycles(static_cast<double>(row_bytes_),
+                              dram.bytes_per_cycle * options.hit_speedup);
+    std::vector<std::uint64_t> freq(num_nodes, 0);
+    if (options.trial_samples > 0) {
+      util::Prng prng(options.seed);
+      std::vector<double> seed_weights(num_nodes);
+      for (graph::NodeId v = 0; v < num_nodes; ++v) {
+        seed_weights[v] = static_cast<double>(base.graph.in_degree(v)) + 1.0;
+      }
+      for (std::size_t t = 0; t < options.trial_samples; ++t) {
+        const auto seed = static_cast<graph::NodeId>(prng.weighted_index(seed_weights));
+        for (const graph::NodeId parent :
+             graph::sample_frontier(base.graph, {seed}, fanout, prng).vertices) {
+          ++freq[parent];
+        }
+      }
+    } else {
+      for (graph::NodeId v = 0; v < num_nodes; ++v) {
+        freq[v] = base.graph.out_degree(v);
+      }
+    }
+    std::vector<graph::NodeId> ranked(num_nodes);
+    std::iota(ranked.begin(), ranked.end(), graph::NodeId{0});
+    std::sort(ranked.begin(), ranked.end(), [&](graph::NodeId a, graph::NodeId b) {
+      return freq[a] != freq[b] ? freq[a] > freq[b] : a < b;
+    });
+    const double fraction = std::clamp(options.pinned_fraction, 0.0, 1.0);
+    const std::uint64_t total_rows = options.budget_bytes / row_bytes_;
+    const auto pinned_budget_rows =
+        static_cast<std::uint64_t>(static_cast<double>(total_rows) * fraction);
+    pinned_.assign(num_nodes, 0);
+    std::uint64_t pinned_count = 0;
+    for (const graph::NodeId v : ranked) {
+      if (pinned_count >= pinned_budget_rows || freq[v] == 0) {
+        break;
+      }
+      pinned_[v] = 1;
+      ++pinned_count;
+    }
+    dynamic_capacity_ = static_cast<std::size_t>(total_rows - pinned_count);
+    stats_.pinned_rows = pinned_count;
+    stats_.budget_bytes = options.budget_bytes;
+  }
+
+  [[nodiscard]] FeatureCache::Gather probe(std::span<const graph::NodeId> rows) const {
+    FeatureCache::Gather gather;
+    for (const graph::NodeId v : rows) {
+      if (pinned_[v] != 0 || lru_index_.contains(v)) {
+        ++gather.hits;
+      } else {
+        ++gather.misses;
+      }
+    }
+    gather.bytes_saved = gather.hits * row_bytes_;
+    gather.cycles = gather.hits * hit_cycles_ + gather.misses * miss_cycles_;
+    return gather;
+  }
+
+  void commit(std::span<const graph::NodeId> rows) {
+    const FeatureCache::Gather gather = probe(rows);
+    stats_.hits += gather.hits;
+    stats_.misses += gather.misses;
+    stats_.bytes_saved += gather.bytes_saved;
+    if (dynamic_capacity_ == 0) {
+      return;
+    }
+    std::set<graph::NodeId> evicted;
+    for (const graph::NodeId v : rows) {
+      if (pinned_[v] != 0) {
+        continue;
+      }
+      if (const auto it = lru_index_.find(v); it != lru_index_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        continue;
+      }
+      retouched_after_eviction_ += evicted.contains(v) ? 1 : 0;
+      lru_.push_front(v);
+      lru_index_[v] = lru_.begin();
+      while (lru_.size() > dynamic_capacity_) {
+        evicted.insert(lru_.back());
+        lru_index_.erase(lru_.back());
+        lru_.pop_back();
+        ++stats_.evictions;
+      }
+    }
+  }
+
+  [[nodiscard]] const FeatureCacheStats& stats() const { return stats_; }
+  [[nodiscard]] bool pinned(graph::NodeId v) const { return pinned_[v] != 0; }
+  [[nodiscard]] std::size_t dynamic_capacity_rows() const { return dynamic_capacity_; }
+  [[nodiscard]] std::uint64_t retouched_after_eviction() const {
+    return retouched_after_eviction_;
+  }
+
+ private:
+  std::uint64_t row_bytes_ = 0;
+  Cycle miss_cycles_ = 0;
+  Cycle hit_cycles_ = 0;
+  std::vector<char> pinned_;
+  std::size_t dynamic_capacity_ = 0;
+  std::list<graph::NodeId> lru_;  // front = hottest
+  std::unordered_map<graph::NodeId, std::list<graph::NodeId>::iterator> lru_index_;
+  FeatureCacheStats stats_;
+  std::uint64_t retouched_after_eviction_ = 0;
+};
+
+void expect_same_stats(const FeatureCacheStats& got, const FeatureCacheStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.bytes_saved, want.bytes_saved);
+  EXPECT_EQ(got.pinned_rows, want.pinned_rows);
+  EXPECT_EQ(got.budget_bytes, want.budget_bytes);
+}
+
+void expect_same_gather(const FeatureCache::Gather& got, const FeatureCache::Gather& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.bytes_saved, want.bytes_saved);
+  EXPECT_EQ(got.cycles, want.cycles);
+}
+
+TEST(FeatureCache, MatchesListMapLruOracle) {
+  const graph::Dataset ds = graph::make_dataset_by_name("cora", 1, /*with_features=*/false);
+  const graph::FanoutSpec fanout = graph::parse_fanout("4,3");
+  const std::uint64_t row_bytes = ds.spec.feature_dim * sizeof(float);
+  struct Config {
+    std::uint64_t rows;
+    double pinned_fraction;
+    std::size_t trials;
+    std::size_t dynamic_rows;  // expected dynamic capacity
+  };
+  const Config configs[] = {
+      {0, 0.0, 64, 0},   {1, 0.0, 64, 1},   {16, 0.0, 64, 16}, {2, 0.5, 64, 1},
+      {32, 0.5, 64, 16}, {32, 0.5, 0, 16},  {64, 1.0, 64, 0},
+  };
+  for (const Config& config : configs) {
+    SCOPED_TRACE(testing::Message() << "rows " << config.rows << " pinned_fraction "
+                                    << config.pinned_fraction << " trials " << config.trials);
+    // A zero-row budget is still a positive byte budget: half a row.
+    FeatureCacheOptions options = small_cache(config.rows, row_bytes, config.pinned_fraction,
+                                              config.trials);
+    options.budget_bytes = std::max<std::uint64_t>(options.budget_bytes, row_bytes / 2);
+    FeatureCache cache(ds, fanout, options, mem::DramModel::Config{});
+    ListMapFeatureCache oracle(ds, fanout, options, mem::DramModel::Config{});
+    ASSERT_EQ(cache.dynamic_capacity_rows(), config.dynamic_rows);
+    ASSERT_EQ(oracle.dynamic_capacity_rows(), config.dynamic_rows);
+    expect_same_stats(cache.stats(), oracle.stats());
+
+    // Rows come from a small universe — up to 8 pinned rows plus 40
+    // unpinned ones — so commits repeat rows, hit, and evict.
+    std::vector<graph::NodeId> universe;
+    for (graph::NodeId v = 0; v < ds.graph.num_nodes() && universe.size() < 8; ++v) {
+      if (oracle.pinned(v)) {
+        universe.push_back(v);
+      }
+    }
+    ASSERT_EQ(universe.empty(), oracle.stats().pinned_rows == 0);
+    for (graph::NodeId v = 0; universe.size() < 48; v += 7) {
+      if (!oracle.pinned(v)) {
+        universe.push_back(v);
+      }
+    }
+
+    util::Prng prng(0xcac4e + config.rows);
+    std::vector<graph::NodeId> rows;
+    for (int step = 0; step < 300; ++step) {
+      rows.clear();
+      const std::uint64_t n = 1 + prng.uniform_u64(24);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        rows.push_back(universe[prng.uniform_u64(universe.size())]);
+      }
+      expect_same_gather(cache.probe(rows), oracle.probe(rows));
+      cache.commit(rows);
+      oracle.commit(rows);
+      expect_same_stats(cache.stats(), oracle.stats());
+      for (const graph::NodeId v : universe) {
+        const std::vector<graph::NodeId> one{v};
+        ASSERT_EQ(cache.probe(one).hits, oracle.probe(one).hits)
+            << "residency of row " << v << " after commit " << step;
+      }
+      if (testing::Test::HasFailure()) {
+        return;
+      }
+    }
+    EXPECT_EQ(oracle.stats().hits > 0, config.rows > 0);
+    if (config.dynamic_rows > 0) {
+      EXPECT_GT(oracle.stats().evictions, 0u);
+      EXPECT_GT(oracle.retouched_after_eviction(), 0u)
+          << "no commit re-touched a row it had evicted";
+    }
+  }
+}
+
+TEST(FeatureCache, EvictedRowRetouchedInOneCommitReinserts) {
+  const graph::Dataset ds = graph::make_dataset_by_name("cora", 1, /*with_features=*/false);
+  const std::uint64_t row_bytes = ds.spec.feature_dim * sizeof(float);
+  // One dynamic row: {10, 11, 10} inserts 10, evicts it for 11, then
+  // evicts 11 to re-insert 10.
+  FeatureCache cache(ds, graph::parse_fanout("2,2"), small_cache(1, row_bytes, 0.0, 0),
+                     mem::DramModel::Config{});
+  ASSERT_EQ(cache.dynamic_capacity_rows(), 1u);
+  cache.commit(std::vector<graph::NodeId>{10, 11, 10});
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.probe(std::vector<graph::NodeId>{10}).hits, 1u);
+  EXPECT_EQ(cache.probe(std::vector<graph::NodeId>{11}).misses, 1u);
 }
 
 TEST(FeatureCache, RejectsInvalidConfigs) {

@@ -9,9 +9,11 @@
 #include <set>
 #include <vector>
 
+#include "graph/datasets.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/cumulative_sampler.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/prng.hpp"
@@ -135,6 +137,64 @@ TEST(Prng, WeightedIndexRejectsBadInput) {
   EXPECT_THROW(prng.weighted_index({}), CheckError);
   EXPECT_THROW(prng.weighted_index({-1.0, 2.0}), CheckError);
   EXPECT_THROW(prng.weighted_index({0.0, 0.0}), CheckError);
+}
+
+// ----------------------------------------------------- cumulative sampler --
+/// Draws `draws` indices through CumulativeSampler and through
+/// Prng::weighted_index from two clones of one stream: the index sequences,
+/// and the next raw output after the draws, must be identical.
+void expect_same_draws(const std::vector<double>& weights, std::uint64_t seed, int draws) {
+  const CumulativeSampler sampler(weights);
+  Prng fast(seed);
+  Prng scan(seed);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(sampler.draw(fast), scan.weighted_index(weights)) << "draw " << i;
+  }
+  EXPECT_EQ(fast.next_u64(), scan.next_u64());
+}
+
+TEST(CumulativeSampler, MatchesWeightedIndexDrawForDraw) {
+  expect_same_draws({0.0, 0.0, 3.0, 1.0}, 1, 2000);            // zeros at the head
+  expect_same_draws({2.0, 0.0, 0.0, 5.0, 0.0, 1.0}, 2, 2000);  // zeros in the middle
+  expect_same_draws({4.0, 1.0, 0.0, 0.0}, 3, 2000);            // zeros at the tail
+  expect_same_draws({0.0, 7.0, 0.0}, 4, 500);                  // one live weight
+  expect_same_draws({7.0}, 5, 500);                            // a single entry
+  // Weights whose sum is 2^53 - 1, the largest the sampler accepts.
+  expect_same_draws({0x1.0p52, 0x1.0p51, 1.0, 0.0, 0x1.0p51 - 2.0}, 6, 2000);
+  // Seeded random vectors over several magnitudes.
+  Prng gen(7);
+  for (const double scale : {1.0, 1e3, 1e9, 1e14}) {
+    std::vector<double> weights(1 + gen.uniform_u64(300));
+    for (double& w : weights) {
+      w = gen.bernoulli(0.2) ? 0.0 : std::floor(gen.uniform() * scale);
+    }
+    weights.back() += 1.0;  // a positive sum
+    expect_same_draws(weights, 8, 2000);
+  }
+}
+
+TEST(CumulativeSampler, MatchesWeightedIndexOnPubmedDegrees) {
+  const graph::Dataset pubmed =
+      graph::make_dataset_by_name("pubmed", 1, /*with_features=*/false);
+  std::vector<double> weights(pubmed.graph.num_nodes());
+  for (graph::NodeId v = 0; v < pubmed.graph.num_nodes(); ++v) {
+    weights[v] = static_cast<double>(pubmed.graph.in_degree(v)) + 1.0;
+  }
+  expect_same_draws(weights, 1, 5000);
+}
+
+TEST(CumulativeSampler, RejectsWeightsItCannotDrawExactly) {
+  using Weights = std::vector<double>;
+  EXPECT_THROW(CumulativeSampler(Weights{}), CheckError);
+  EXPECT_THROW(CumulativeSampler(Weights{0.0, 0.0}), CheckError);
+  EXPECT_THROW(CumulativeSampler(Weights{-1.0, 2.0}), CheckError);
+  EXPECT_THROW(CumulativeSampler(Weights{1.5, 2.0}), CheckError);
+  EXPECT_THROW(CumulativeSampler(Weights{std::nan(""), 2.0}), CheckError);
+  EXPECT_THROW(CumulativeSampler(Weights{0x1.0p53}), CheckError);
+  EXPECT_THROW(CumulativeSampler(Weights{0x1.0p52, 0x1.0p52}), CheckError);
+  const CumulativeSampler largest(Weights{0x1.0p52, 0x1.0p52 - 1.0});
+  EXPECT_EQ(largest.total(), 0x1.0p53 - 1.0);
+  EXPECT_EQ(largest.size(), 2u);
 }
 
 TEST(Prng, ForkedStreamsAreIndependent) {
